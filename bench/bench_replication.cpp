@@ -86,7 +86,7 @@ void churn(collector::NetworkModel& model, int round, Seconds now) {
   if (round % 8 == 0) {
     collector::ModelLink& toggled =
         links[static_cast<std::size_t>(round / 8) % links.size()];
-    toggled.up = !toggled.up;
+    model.set_link_up(toggled, !toggled.up());
   }
 }
 

@@ -14,14 +14,19 @@
 //   --small   sweep only topologies up to 256 hosts (CI perf-smoke mode)
 //   --check   exit nonzero if the incremental solver's mean per-event
 //             solve exceeds 10% of the from-scratch solve on the
-//             256-host Waxman instance, or (full sweep only) if the
-//             1024-host fat-tree model build + 1000 queries exceed 5 s
+//             256-host Waxman instance, if any topology's query p50
+//             exceeds 1.5x its value in the committed BENCH_scale.json
+//             plus 20 us (read before the run overwrites it), or (full
+//             sweep only) if the 1024-host fat-tree model build + 1000
+//             queries exceed 5 s
 //   --out F   write the JSON to F instead of BENCH_scale.json
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -235,6 +240,26 @@ QueryStats run_queries(const collector::NetworkModel& model,
   return out;
 }
 
+/// The query p50 of one topology in a prior BENCH_scale.json, or -1 if
+/// absent.  Hand-rolled on purpose: this bench writes the file itself, so
+/// its shape is known (each entry's one "p50_us" follows its family and
+/// host count).
+double baseline_p50(const std::string& text, const std::string& family,
+                    std::size_t hosts) {
+  const std::string entry = "\"family\": \"" + family +
+                            "\", \"hosts\": " + std::to_string(hosts) + ",";
+  const std::string key = "\"p50_us\": ";
+  const std::size_t at = text.find(entry);
+  if (at == std::string::npos) return -1.0;
+  const std::size_t pos = text.find(key, at);
+  if (pos == std::string::npos) return -1.0;
+  try {
+    return std::stod(text.substr(pos + key.size()));
+  } catch (const std::exception&) {
+    return -1.0;
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -254,6 +279,17 @@ int main(int argc, char** argv) {
       std::cerr << "usage: bench_scale [--small] [--check] [--out FILE]\n";
       return 2;
     }
+  }
+
+  // The committed baseline must be read before the run overwrites it.
+  std::string baseline;
+  if (check) {
+    std::ifstream in("BENCH_scale.json");
+    baseline.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    if (baseline.empty())
+      std::cerr << "BENCH_scale: --check but no committed BENCH_scale.json "
+                   "baseline; skipping the query-latency gate\n";
   }
 
   std::cout << "Scale plane: build / churn-solve / query sweep"
@@ -322,6 +358,19 @@ int main(int argc, char** argv) {
       std::cerr << "CHECK FAILED: waxman-256 incremental/oracle ratio "
                 << fixed(e.churn.ratio(), 3) << " > 0.10\n";
       ok = false;
+    }
+    // Upper-only: 1.5x absorbs a slower machine, 20 us the scheduler
+    // noise of p50s that are only a few microseconds.
+    const double base_p50 = baseline_p50(baseline, e.tc.family, e.tc.hosts);
+    if (base_p50 >= 0.0) {
+      const double ceiling = base_p50 * 1.5 + 20.0;
+      if (e.queries.p50_us > ceiling) {
+        std::cerr << "CHECK FAILED: " << e.tc.family << "-" << e.tc.hosts
+                  << " query p50 " << fixed(e.queries.p50_us, 1)
+                  << " us above baseline ceiling " << fixed(ceiling, 1)
+                  << " us\n";
+        ok = false;
+      }
     }
     if (e.tc.family == "fat_tree" && e.tc.hosts == 1024) {
       const double total_s = (e.build_ms + e.queries.total_ms) / 1e3;

@@ -40,13 +40,15 @@ std::size_t LinkHistory::memory_bytes() const {
 ModelNode& NetworkModel::upsert_node(const std::string& name,
                                      bool is_router) {
   auto [it, inserted] = nodes_.try_emplace(name);
+  ModelNode& node = it->second;
   if (inserted) {
-    it->second.name = name;
-    it->second.is_router = is_router;
+    node.name = name;
+    node.is_router_ = is_router;
+    ++structure_version_;
   } else if (is_router) {
-    it->second.is_router = true;  // router knowledge dominates
+    set_router(node, true);  // router knowledge dominates
   }
-  return it->second;
+  return node;
 }
 
 ModelLink& NetworkModel::upsert_link(const std::string& a,
@@ -57,10 +59,26 @@ ModelLink& NetworkModel::upsert_link(const std::string& a,
     throw InvalidArgument("upsert_link: unknown endpoint");
   bool flipped = false;
   if (ModelLink* existing = find_link(a, b, &flipped)) return *existing;
-  links_.push_back(ModelLink{a, b, capacity, latency, true,
-                             SharingPolicy::kUnknown, -1, LinkHistory{}});
+  ModelLink& link = links_.emplace_back();
+  link.a = a;
+  link.b = b;
+  link.capacity = capacity;
+  link.latency = latency;
   link_index_[{a, b}] = links_.size() - 1;
-  return links_.back();
+  ++structure_version_;
+  return link;
+}
+
+void NetworkModel::set_router(ModelNode& node, bool is_router) {
+  if (node.is_router_ == is_router) return;
+  node.is_router_ = is_router;
+  ++structure_version_;
+}
+
+void NetworkModel::set_link_up(ModelLink& link, bool up) {
+  if (link.up_ == up) return;  // pollers re-assert the state every round
+  link.up_ = up;
+  ++structure_version_;
 }
 
 bool NetworkModel::has_node(const std::string& name) const {
@@ -124,6 +142,7 @@ bool NetworkModel::remove_link(const std::string& a, const std::string& b) {
   // Indices past the erased slot shifted down by one.
   for (auto& [names, index] : link_index_)
     if (index > at) --index;
+  ++structure_version_;
   return true;
 }
 
@@ -134,6 +153,7 @@ bool NetworkModel::remove_node(const std::string& name) {
     if (links_[i].a == name || links_[i].b == name)
       remove_link(links_[i].a, links_[i].b);
   nodes_.erase(it);
+  ++structure_version_;
   return true;
 }
 
@@ -147,7 +167,7 @@ void RoutingIndex::build(const NetworkModel& model) {
   for (const auto& [name, node] : model.nodes()) {
     ids_.emplace(name, static_cast<std::int32_t>(names_.size()));
     names_.push_back(name);
-    is_router_.push_back(node.is_router ? 1 : 0);
+    is_router_.push_back(node.is_router() ? 1 : 0);
   }
   const std::size_t n = names_.size();
   rows_.resize(n);
@@ -157,7 +177,7 @@ void RoutingIndex::build(const NetworkModel& model) {
   std::vector<std::uint32_t> degree(n, 0);
   const auto& links = model.links();
   for (const ModelLink& l : links) {
-    if (!l.up) continue;
+    if (!l.up()) continue;
     ++degree[static_cast<std::size_t>(ids_.at(l.a))];
     ++degree[static_cast<std::size_t>(ids_.at(l.b))];
   }
@@ -169,7 +189,7 @@ void RoutingIndex::build(const NetworkModel& model) {
                                     adj_offset_.end() - 1);
   for (std::size_t li = 0; li < links.size(); ++li) {
     const ModelLink& l = links[li];
-    if (!l.up) continue;
+    if (!l.up()) continue;
     const auto ia = ids_.at(l.a);
     const auto ib = ids_.at(l.b);
     adj_[cursor[static_cast<std::size_t>(ia)]++] =
@@ -226,35 +246,12 @@ const RoutingIndex::Row& RoutingIndex::row_from(std::int32_t src) const {
 }
 
 const RoutingIndex& NetworkModel::routing_index() const {
-  // FNV-style structural fingerprint: node names/roles, link endpoints
-  // and up flags.  Order-sensitive, so any structural change moves it.
-  std::uint64_t fp = 0xcbf29ce484222325ULL;
-  auto mix = [&fp](std::uint64_t v) {
-    fp ^= v;
-    fp *= 0x100000001b3ULL;
-  };
-  auto mix_str = [&](const std::string& sv) {
-    mix(sv.size());
-    for (const char ch : sv) mix(static_cast<unsigned char>(ch));
-  };
-  mix(nodes_.size());
-  for (const auto& [name, node] : nodes_) {
-    mix_str(name);
-    mix(node.is_router ? 2u : 3u);
-  }
-  mix(links_.size());
-  for (const ModelLink& l : links_) {
-    mix_str(l.a);
-    mix_str(l.b);
-    mix(l.up ? 5u : 7u);
-  }
-
   routing_cache_.lock();
-  if (!routing_cache_.index || routing_cache_.fingerprint != fp) {
+  if (!routing_cache_.index || routing_cache_.version != structure_version_) {
     auto index = std::make_shared<RoutingIndex>();
     index->build(*this);
     routing_cache_.index = std::move(index);
-    routing_cache_.fingerprint = fp;
+    routing_cache_.version = structure_version_;
   }
   const RoutingIndex& ref = *routing_cache_.index;
   routing_cache_.unlock();
@@ -263,7 +260,7 @@ const RoutingIndex& NetworkModel::routing_index() const {
 
 void NetworkModel::merge_from(const NetworkModel& other) {
   for (const auto& [name, n] : other.nodes()) {
-    ModelNode& mine = upsert_node(name, n.is_router);
+    ModelNode& mine = upsert_node(name, n.is_router());
     if (n.internal_bw > 0) mine.internal_bw = n.internal_bw;
     if (n.has_host_info) {
       mine.has_host_info = true;
@@ -278,7 +275,7 @@ void NetworkModel::merge_from(const NetworkModel& other) {
       mine = &upsert_link(l.a, l.b, l.capacity, l.latency);
       flipped = false;
     }
-    mine->up = l.up;
+    set_link_up(*mine, l.up());
     if (l.sharing != SharingPolicy::kUnknown) mine->sharing = l.sharing;
     mine->last_update = std::max(mine->last_update, l.last_update);
     // Adopt the other collector's samples that are newer than anything we

@@ -85,15 +85,23 @@ class LinkHistory {
   obs::RollupCascade rollup_ba_;
 };
 
+class NetworkModel;
+
 struct ModelNode {
   std::string name;
-  bool is_router = false;
+  /// Routers forward; hosts only originate and sink.  Structural: written
+  /// only by NetworkModel (upsert_node promotion, set_router).
+  bool is_router() const { return is_router_; }
   /// Aggregate forwarding capacity (0 = not reported / unlimited).
   BitsPerSec internal_bw = 0;
   /// Host info (compute nodes with a responding host agent only).
   bool has_host_info = false;
   double cpu_load = 0.0;
   std::uint32_t memory_mb = 0;
+
+ private:
+  friend class NetworkModel;
+  bool is_router_ = false;
 };
 
 struct ModelLink {
@@ -103,7 +111,8 @@ struct ModelLink {
   Seconds latency = 0;
   /// Operational state, from ifOperStatus.  Down links stay in the model
   /// (they may return) but contribute nothing to logical topologies.
-  bool up = true;
+  /// Structural: written only by NetworkModel::set_link_up.
+  bool up() const { return up_; }
   /// How competing flows split this link's capacity (extension; unknown
   /// for links the network did not describe, e.g. probed WAN pairs).
   SharingPolicy sharing = SharingPolicy::kUnknown;
@@ -114,9 +123,11 @@ struct ModelLink {
   /// Queries widen their accuracy as links go stale.
   Seconds last_update = -1;
   LinkHistory history;
-};
 
-class NetworkModel;
+ private:
+  friend class NetworkModel;
+  bool up_ = true;
+};
 
 /// Integer-form routing view of a NetworkModel: node names interned to
 /// dense ids (lexicographic order), adjacency restricted to *up* links,
@@ -126,10 +137,10 @@ class NetworkModel;
 /// shared snapshot.
 ///
 /// The index is immutable with respect to the model state it was built
-/// from; NetworkModel::routing_index() rebuilds it when the model's
-/// structural fingerprint (node/link sets, up flags, router flags)
-/// changes.  Row memoization is guarded by a tiny acquire/release
-/// spinlock so concurrent query workers can share one index safely.
+/// from; NetworkModel::routing_index() rebuilds it after any structural
+/// write (see the NetworkModel class comment).  Row memoization is
+/// guarded by a tiny acquire/release spinlock so concurrent query
+/// workers can share one index safely.
 class RoutingIndex {
  public:
   /// One BFS tree: parent[v] is the predecessor of v on the route from
@@ -185,14 +196,29 @@ class RoutingIndex {
 /// Discovered topology plus measurement state.  Links are unordered pairs;
 /// sample direction is stored relative to the (a, b) orientation the link
 /// was first inserted with.
+///
+/// Structure -- the node set, the link set, router flags and link up
+/// flags -- changes only through this class's methods, each of which
+/// bumps the model's structure version.  Everything else on a node or
+/// link is measurement state, writable in place through the mutable
+/// accessors.  Node names and link endpoints key the lookup maps, so they
+/// must never be edited in place (a rename is a remove plus an insert);
+/// that is why the version need not track them.
 class NetworkModel {
  public:
-  /// Inserts or updates a node; returns the stored entry.
+  /// Inserts or updates a node; returns the stored entry.  Inserting, or
+  /// promoting a host to router, is a structural change.
   ModelNode& upsert_node(const std::string& name, bool is_router);
 
   /// Inserts a link if absent (either orientation); returns the entry.
   ModelLink& upsert_link(const std::string& a, const std::string& b,
                          BitsPerSec capacity, Seconds latency);
+
+  /// Sets a node's router flag (either way, unlike upsert_node's
+  /// promotion).  `node` must belong to this model.
+  void set_router(ModelNode& node, bool is_router);
+  /// Sets a link's operational state.  `link` must belong to this model.
+  void set_link_up(ModelLink& link, bool up);
 
   bool has_node(const std::string& name) const;
   const ModelNode& node(const std::string& name) const;
@@ -207,6 +233,8 @@ class NetworkModel {
 
   const std::map<std::string, ModelNode>& nodes() const { return nodes_; }
   const std::vector<ModelLink>& links() const { return links_; }
+  /// Mutable access is for measurement writes; links are added and
+  /// removed only through upsert_link / remove_link / remove_node.
   std::vector<ModelLink>& links() { return links_; }
 
   /// Node names adjacent to `name`.
@@ -229,31 +257,30 @@ class NetworkModel {
   bool remove_node(const std::string& name);
 
   /// The routing index for the model's current structure, built lazily
-  /// and cached.  Because links() hands out mutable references (callers
-  /// flip `up` in place), invalidation is by structural fingerprint --
-  /// an O(nodes + links) fold over the node set, link endpoints, up
-  /// flags and router flags recomputed on each call -- rather than by
-  /// mutation hooks.  Measurement updates (histories, last_update) do
-  /// not perturb the fingerprint and keep the cached index.  The
-  /// returned reference is valid until the model's structure next
-  /// changes.  Safe for concurrent readers of an immutable snapshot.
+  /// on first use and cached.  Each call is O(1): it compares the
+  /// structure version the cached index was built under with the
+  /// current one and rebuilds only if they differ.  The returned
+  /// reference is valid until the model's structure next changes.  Safe
+  /// for concurrent readers of an immutable snapshot.
   const RoutingIndex& routing_index() const;
 
  private:
   std::map<std::string, ModelNode> nodes_;
   std::vector<ModelLink> links_;
   std::map<std::pair<std::string, std::string>, std::size_t> link_index_;
+  /// Counts structural writes; measurement writes leave it alone.
+  std::uint64_t structure_version_ = 0;
 
-  /// Cached routing index + the fingerprint it was built under.  Copies
-  /// of a model deliberately start with a cold cache (the index holds no
-  /// model pointers, but rebuilding on first use is simpler than proving
-  /// copy equivalence).
+  /// Cached routing index + the structure version it was built under.
+  /// Copies of a model deliberately start with a cold cache (the index
+  /// holds no model pointers, but rebuilding on first use is simpler
+  /// than proving copy equivalence).
   struct RoutingCache {
     RoutingCache() = default;
     RoutingCache(const RoutingCache&) {}
     RoutingCache& operator=(const RoutingCache&) {
       index.reset();
-      fingerprint = 0;
+      version = 0;
       return *this;
     }
 
@@ -266,7 +293,7 @@ class NetworkModel {
 
     mutable std::atomic_flag flag = ATOMIC_FLAG_INIT;
     std::shared_ptr<RoutingIndex> index;
-    std::uint64_t fingerprint = 0;
+    std::uint64_t version = 0;
   };
   mutable RoutingCache routing_cache_;
 };

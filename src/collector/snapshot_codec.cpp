@@ -102,7 +102,7 @@ class Reader {
 void encode_node(std::vector<std::uint8_t>& out, const ModelNode& n) {
   put_str(out, n.name);
   const std::uint8_t flags = static_cast<std::uint8_t>(
-      (n.is_router ? 1u : 0u) | (n.has_host_info ? 2u : 0u));
+      (n.is_router() ? 1u : 0u) | (n.has_host_info ? 2u : 0u));
   put_u8(out, flags);
   put_f64(out, n.internal_bw);
   put_f64(out, n.cpu_load);
@@ -114,7 +114,7 @@ void encode_link(std::vector<std::uint8_t>& out, const ModelLink& l) {
   put_str(out, l.b);
   put_f64(out, l.capacity);
   put_f64(out, l.latency);
-  put_u8(out, l.up ? 1 : 0);
+  put_u8(out, l.up() ? 1 : 0);
   put_u8(out, static_cast<std::uint8_t>(l.sharing));
   put_f64(out, l.last_update);
   const std::size_t n = std::min(l.history.size(), kWireSampleCap);
@@ -217,10 +217,10 @@ std::vector<std::uint8_t> frame(FrameKind kind, std::uint64_t version,
 
 /// Overwrites a model link's fields and rebuilds its history from the
 /// wire sample tail (the canonical form both sides fingerprint).
-void overwrite_link(ModelLink& ml, const WireLink& wl) {
+void overwrite_link(NetworkModel& m, ModelLink& ml, const WireLink& wl) {
   ml.capacity = wl.capacity;
   ml.latency = wl.latency;
-  ml.up = wl.up;
+  m.set_link_up(ml, wl.up);
   ml.sharing = wl.sharing;
   ml.last_update = wl.last_update;
   ml.history = LinkHistory{};
@@ -228,8 +228,8 @@ void overwrite_link(ModelLink& ml, const WireLink& wl) {
     ml.history.record(Sample{s.at, s.used_ab, s.used_ba});
 }
 
-void overwrite_node(ModelNode& mn, const WireNode& wn) {
-  mn.is_router = wn.is_router;
+void overwrite_node(NetworkModel& m, ModelNode& mn, const WireNode& wn) {
+  m.set_router(mn, wn.is_router);
   mn.has_host_info = wn.has_host_info;
   mn.internal_bw = wn.internal_bw;
   mn.cpu_load = wn.cpu_load;
@@ -246,7 +246,7 @@ void upsert_wire_link(NetworkModel& m, const WireLink& wl) {
   if (m.find_link(wl.a, wl.b, &flipped) && flipped)
     m.remove_link(wl.a, wl.b);
   ModelLink& ml = m.upsert_link(wl.a, wl.b, wl.capacity, wl.latency);
-  overwrite_link(ml, wl);
+  overwrite_link(m, ml, wl);
 }
 
 }  // namespace
@@ -382,7 +382,7 @@ NetworkModel materialize(const SnapshotFrame& full) {
     throw ProtocolError("snapshot codec: materialize needs a full frame");
   NetworkModel m;
   for (const WireNode& n : full.nodes)
-    overwrite_node(m.upsert_node(n.name, n.is_router), n);
+    overwrite_node(m, m.upsert_node(n.name, n.is_router), n);
   for (const WireLink& l : full.links) upsert_wire_link(m, l);
   return m;
 }
@@ -393,7 +393,7 @@ void apply_delta(NetworkModel& m, const SnapshotFrame& delta) {
   for (const auto& [a, b] : delta.removed_links) m.remove_link(a, b);
   for (const std::string& name : delta.removed_nodes) m.remove_node(name);
   for (const WireNode& n : delta.nodes)
-    overwrite_node(m.upsert_node(n.name, n.is_router), n);
+    overwrite_node(m, m.upsert_node(n.name, n.is_router), n);
   for (const WireLink& l : delta.links) upsert_wire_link(m, l);
 }
 

@@ -352,7 +352,7 @@ std::pair<std::size_t, std::size_t> SnmpCollector::poll_router(
     bool flipped = false;
     ModelLink* link = model_.find_link(name, neighbor, &flipped);
     if (link) {
-      link->up = oper_up;
+      model_.set_link_up(*link, oper_up);
       link->last_update = stamp;
     }
 

@@ -67,13 +67,16 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
 
   // 1. Relevant subgraph: union of pairwise routes, via the model's
   // cached RoutingIndex (memoized per-source BFS rows shared across
-  // queries on the same snapshot; one walk per pair is O(path length)).
+  // queries on the same snapshot).  Each pair walk is O(path length) and
+  // collects the links it crosses, so this step and the annotation below
+  // cost O(kept links), not O(model).
   std::set<std::string> keep_nodes;
-  std::vector<char> keep_link(model.links().size(), 0);
+  std::vector<std::uint32_t> kept;  // indices into model.links(), all up
   if (options.keep_all) {
     for (const auto& [name, n] : model.nodes()) keep_nodes.insert(name);
     for (std::size_t li = 0; li < model.links().size(); ++li)
-      if (model.links()[li].up) keep_link[li] = 1;
+      if (model.links()[li].up())
+        kept.push_back(static_cast<std::uint32_t>(li));
   } else {
     const RoutingIndex& index = model.routing_index();
     for (const std::string& a : queried) {
@@ -89,11 +92,14 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
         for (std::int32_t cur = ib; cur != ia;) {
           const auto c = static_cast<std::size_t>(cur);
           keep_nodes.insert(index.name_of(cur));
-          keep_link[row.via_link[c]] = 1;
+          kept.push_back(row.via_link[c]);
           cur = row.parent[c];
         }
       }
     }
+    // Model link order, so the graph matches a scan of model.links().
+    std::sort(kept.begin(), kept.end());
+    kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
   }
 
   // Annotated working copies of the kept links (mutable for collapsing).
@@ -104,10 +110,9 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
     SharingPolicy sharing = SharingPolicy::kUnknown;
   };
   std::vector<WorkLink> work;
-  for (std::size_t li = 0; li < model.links().size(); ++li) {
+  work.reserve(kept.size());
+  for (const std::uint32_t li : kept) {
     const ModelLink& l = model.links()[li];
-    if (!l.up) continue;
-    if (!keep_link[li]) continue;
     WorkLink w;
     w.a = l.a;
     w.b = l.b;
@@ -147,7 +152,7 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
       }
       for (const auto& [name, links] : incident) {
         if (queried.contains(name)) continue;
-        if (!model.node(name).is_router) continue;
+        if (!model.node(name).is_router()) continue;
         if (model.node(name).internal_bw > 0) continue;  // constraint: keep
         if (links.size() != 2) continue;
         WorkLink& l1 = work[links[0]];
@@ -247,7 +252,7 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
     const ModelNode& mn = model.node(name);
     GraphNode gn;
     gn.name = name;
-    gn.is_compute = !mn.is_router;
+    gn.is_compute = !mn.is_router();
     if (mn.internal_bw > 0) gn.internal_bw = exactish(mn.internal_bw);
     gn.has_host_info = mn.has_host_info;
     gn.cpu_load = mn.cpu_load;

@@ -121,6 +121,10 @@ void TenantAdmission::note_admitted(Tenant& t) {
 
 void TenantAdmission::release(int tenant) {
   Tenant& t = slot(tenant);
+  // Leave in_flight_ before freeing the slot (note_admitted counts in
+  // after taking one), so it never exceeds the slots held and the high-
+  // water mark never reads budget + 1 while a slot changes hands.
+  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   // Return a borrowed pool slot first: the pool is the shared resource,
   // so freeing it early keeps other tenants' borrow path open.  Which
   // physical acquire grabbed which slot does not matter -- per-tenant
@@ -135,7 +139,6 @@ void TenantAdmission::release(int tenant) {
     pool_in_use_.fetch_sub(1, std::memory_order_acq_rel);
   else
     t.reserved_in_use.fetch_sub(1, std::memory_order_acq_rel);
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void TenantAdmission::set_budget(std::size_t budget) {

@@ -120,10 +120,10 @@ TEST(ChaosSoak, MultiFaultScheduleDegradesGracefully) {
   const collector::ModelLink* ml =
       h.collector().model().find_link("timberline", "whiteface");
   ASSERT_NE(ml, nullptr);
-  EXPECT_FALSE(ml->up);
+  EXPECT_FALSE(ml->up());
   h.sim().set_link_up(tw, true);
   h.sim().run_for(5.0);
-  EXPECT_TRUE(ml->up);
+  EXPECT_TRUE(ml->up());
 
   // The soak really exercised the fault machinery and never lost the
   // polling loop.

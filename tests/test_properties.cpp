@@ -55,7 +55,7 @@ collector::NetworkModel random_model(Rng& rng, bool with_usage) {
 std::vector<std::string> host_names(const collector::NetworkModel& m) {
   std::vector<std::string> out;
   for (const auto& [name, n] : m.nodes())
-    if (!n.is_router) out.push_back(name);
+    if (!n.is_router()) out.push_back(name);
   return out;
 }
 

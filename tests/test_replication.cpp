@@ -67,7 +67,7 @@ void churn(collector::NetworkModel& model, int round, Seconds now) {
   if (round % 5 == 0) {
     collector::ModelLink& toggled =
         links[static_cast<std::size_t>(round / 5) % links.size()];
-    toggled.up = !toggled.up;
+    model.set_link_up(toggled, !toggled.up());
   }
 }
 

@@ -126,7 +126,7 @@ struct DeltaFixture {
     touched.history.record(Sample{2.0, mbps(30), mbps(12)});
     touched.last_update = 2.0;
     next.links()[1].latency = millis(9);
-    next.links()[2].up = false;
+    next.set_link_up(next.links()[2], false);
 
     next.upsert_node("newcomer", false);
     const std::string anchor = next.links()[3].a;

@@ -57,7 +57,7 @@ std::vector<std::vector<std::uint8_t>> corpus() {
     NetworkModel next = *m;
     next.links()[0].history.record(Sample{8.0, mbps(4), mbps(2)});
     next.links()[0].last_update = 8.0;
-    next.links()[1].up = false;
+    next.set_link_up(next.links()[1], false);
     out.push_back(encode_delta(*m, 3, next, 4, 8.0));
   }
   return out;
