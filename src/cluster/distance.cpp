@@ -24,7 +24,7 @@ DistanceMatrix::DistanceMatrix(const core::NetworkGraph& graph,
 
   const std::size_t n = names_.size();
   distance_.assign(n * n, 0.0);
-  // One shortest-path tree per node (n Dijkstras), then O(path) work per
+  // One route tree per node (n kernel rows), then O(path) work per
   // pair -- the whole point of deriving distances from a topology query.
   std::vector<core::RouteTree> trees;
   trees.reserve(n);

@@ -119,17 +119,6 @@ ModelLink* NetworkModel::find_link(const std::string& a, const std::string& b,
       std::as_const(*this).find_link(a, b, flipped));
 }
 
-std::vector<std::string> NetworkModel::neighbors(
-    const std::string& name) const {
-  std::vector<std::string> out;
-  for (const ModelLink& l : links_) {
-    if (l.a == name) out.push_back(l.b);
-    if (l.b == name) out.push_back(l.a);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 bool NetworkModel::remove_link(const std::string& a, const std::string& b) {
   bool flipped = false;
   const ModelLink* found = find_link(a, b, &flipped);
@@ -157,100 +146,33 @@ bool NetworkModel::remove_node(const std::string& name) {
   return true;
 }
 
-std::int32_t RoutingIndex::id_of(const std::string& name) const {
-  const auto it = ids_.find(name);
-  return it == ids_.end() ? kNoNode : it->second;
-}
+namespace {
 
-void RoutingIndex::build(const NetworkModel& model) {
-  names_.reserve(model.nodes().size());
+netsim::RouteKernel model_kernel(const NetworkModel& model) {
+  std::vector<std::string> names;
+  std::vector<char> forwards;
   for (const auto& [name, node] : model.nodes()) {
-    ids_.emplace(name, static_cast<std::int32_t>(names_.size()));
-    names_.push_back(name);
-    is_router_.push_back(node.is_router() ? 1 : 0);
+    names.push_back(name);
+    forwards.push_back(node.is_router() ? 1 : 0);
   }
-  const std::size_t n = names_.size();
-  rows_.resize(n);
-
-  // CSR adjacency over up links: count degrees, place, then sort each
-  // node's slice by neighbor id so BFS expansion follows name order.
-  std::vector<std::uint32_t> degree(n, 0);
-  const auto& links = model.links();
-  for (const ModelLink& l : links) {
-    if (!l.up()) continue;
-    ++degree[static_cast<std::size_t>(ids_.at(l.a))];
-    ++degree[static_cast<std::size_t>(ids_.at(l.b))];
+  std::vector<netsim::RouteKernel::Edge> edges;
+  for (std::size_t li = 0; li < model.links().size(); ++li) {
+    const ModelLink& l = model.links()[li];
+    if (l.up())
+      edges.push_back({l.a, l.b, static_cast<std::int32_t>(li), 1, l.latency});
   }
-  adj_offset_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    adj_offset_[i + 1] = adj_offset_[i] + degree[i];
-  adj_.resize(adj_offset_[n]);
-  std::vector<std::uint32_t> cursor(adj_offset_.begin(),
-                                    adj_offset_.end() - 1);
-  for (std::size_t li = 0; li < links.size(); ++li) {
-    const ModelLink& l = links[li];
-    if (!l.up()) continue;
-    const auto ia = ids_.at(l.a);
-    const auto ib = ids_.at(l.b);
-    adj_[cursor[static_cast<std::size_t>(ia)]++] =
-        Hop{ib, static_cast<std::uint32_t>(li)};
-    adj_[cursor[static_cast<std::size_t>(ib)]++] =
-        Hop{ia, static_cast<std::uint32_t>(li)};
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    std::sort(adj_.begin() + adj_offset_[i], adj_.begin() + adj_offset_[i + 1],
-              [](const Hop& x, const Hop& y) { return x.neighbor < y.neighbor; });
+  return netsim::RouteKernel(std::move(names), std::move(forwards), edges);
 }
 
-const RoutingIndex::Row& RoutingIndex::row_from(std::int32_t src) const {
-  if (src < 0 || static_cast<std::size_t>(src) >= names_.size())
-    throw InvalidArgument("RoutingIndex: node id out of range");
-  const auto s = static_cast<std::size_t>(src);
-  lock();
-  if (rows_[s]) {
-    const Row& ready = *rows_[s];
-    unlock();
-    return ready;
-  }
-  unlock();
+}  // namespace
 
-  // Build outside the lock (BFS can be slow on big graphs); losing a
-  // race just wastes one redundant build.
-  auto row = std::make_unique<Row>();
-  const std::size_t n = names_.size();
-  row->parent.assign(n, kNoNode);
-  row->via_link.assign(n, 0);
-  row->parent[s] = src;
-  std::vector<std::int32_t> frontier;
-  frontier.reserve(n);
-  frontier.push_back(src);
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const std::int32_t cur = frontier[head];
-    const auto c = static_cast<std::size_t>(cur);
-    if (cur != src && !is_router_[c]) continue;  // hosts do not forward
-    for (std::uint32_t k = adj_offset_[c]; k < adj_offset_[c + 1]; ++k) {
-      const Hop& hop = adj_[k];
-      const auto v = static_cast<std::size_t>(hop.neighbor);
-      if (row->parent[v] != kNoNode) continue;
-      row->parent[v] = cur;
-      row->via_link[v] = hop.link;
-      frontier.push_back(hop.neighbor);
-    }
-  }
-
-  lock();
-  if (!rows_[s]) rows_[s] = std::move(row);
-  const Row& ready = *rows_[s];
-  unlock();
-  return ready;
-}
+RoutingIndex::RoutingIndex(const NetworkModel& model)
+    : kernel_(model_kernel(model)) {}
 
 const RoutingIndex& NetworkModel::routing_index() const {
   routing_cache_.lock();
   if (!routing_cache_.index || routing_cache_.version != structure_version_) {
-    auto index = std::make_shared<RoutingIndex>();
-    index->build(*this);
-    routing_cache_.index = std::move(index);
+    routing_cache_.index = std::make_shared<RoutingIndex>(*this);
     routing_cache_.version = structure_version_;
   }
   const RoutingIndex& ref = *routing_cache_.index;

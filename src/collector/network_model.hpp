@@ -14,9 +14,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "netsim/routing.hpp"
 #include "obs/rollup.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/sharing.hpp"
@@ -129,68 +131,39 @@ struct ModelLink {
   bool up_ = true;
 };
 
-/// Integer-form routing view of a NetworkModel: node names interned to
-/// dense ids (lexicographic order), adjacency restricted to *up* links,
-/// and memoized per-source BFS parent rows (hosts do not forward).  A
-/// row answers every route from its source in O(path length), so a
-/// query over k nodes costs k BFS runs once -- not per query -- on a
-/// shared snapshot.
-///
-/// The index is immutable with respect to the model state it was built
-/// from; NetworkModel::routing_index() rebuilds it after any structural
-/// write (see the NetworkModel class comment).  Row memoization is
-/// guarded by a tiny acquire/release spinlock so concurrent query
-/// workers can share one index safely.
+/// The collector's routing view of a NetworkModel: a netsim::RouteKernel
+/// over the model's nodes (ids in name order; routers forward) and its
+/// *up* links (unit hop weights, link latencies), so a route here is the
+/// route the simulator takes on the same network.  Immutable with respect
+/// to the model state it was built from: NetworkModel::routing_index()
+/// rebuilds it after any structural write.  Rows are memoized per source
+/// and safe to request from concurrent query workers sharing one index.
 class RoutingIndex {
  public:
-  /// One BFS tree: parent[v] is the predecessor of v on the route from
-  /// the source (kNoNode if unreachable, the source for itself);
-  /// via_link[v] indexes NetworkModel::links() for the edge taken.
-  struct Row {
-    std::vector<std::int32_t> parent;
-    std::vector<std::uint32_t> via_link;
-  };
+  /// One source's row: prev_node[v] is the predecessor of v on the route
+  /// from the source (kNoNode if unreachable, the source for itself);
+  /// prev_link[v] indexes NetworkModel::links() for the link taken.
+  using Row = netsim::RouteKernel::Row;
 
-  static constexpr std::int32_t kNoNode = -1;
+  static constexpr std::int32_t kNoNode = netsim::RouteKernel::kNone;
 
-  std::size_t node_count() const { return names_.size(); }
+  explicit RoutingIndex(const NetworkModel& model);
+
+  std::size_t node_count() const { return kernel_.node_count(); }
   /// Dense id of a node name; kNoNode if unknown.
-  std::int32_t id_of(const std::string& name) const;
+  std::int32_t id_of(std::string_view name) const {
+    return kernel_.id_of(name);
+  }
   const std::string& name_of(std::int32_t id) const {
-    return names_[static_cast<std::size_t>(id)];
+    return kernel_.name_of(id);
   }
-  bool is_router(std::int32_t id) const {
-    return is_router_[static_cast<std::size_t>(id)] != 0;
-  }
+  bool is_router(std::int32_t id) const { return kernel_.forwards(id); }
 
-  /// The memoized BFS row from `src` (computed on first use).
-  /// Deterministic: neighbors expand in id (= name) order.
-  const Row& row_from(std::int32_t src) const;
+  /// The memoized row from `src` (searched on first use).
+  const Row& row_from(std::int32_t src) const { return kernel_.row(src); }
 
  private:
-  friend class NetworkModel;
-  void build(const NetworkModel& model);
-
-  void lock() const {
-    while (lock_.test_and_set(std::memory_order_acquire))
-      while (lock_.test(std::memory_order_relaxed)) {
-      }
-  }
-  void unlock() const { lock_.clear(std::memory_order_release); }
-
-  struct Hop {
-    std::int32_t neighbor = kNoNode;
-    std::uint32_t link = 0;  // index into NetworkModel::links()
-  };
-
-  std::vector<std::string> names_;            // id -> name, sorted
-  std::map<std::string, std::int32_t> ids_;   // name -> id
-  std::vector<char> is_router_;
-  std::vector<std::uint32_t> adj_offset_;     // CSR: per-node slice of adj_
-  std::vector<Hop> adj_;                      // neighbors, id-sorted per node
-
-  mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
-  mutable std::vector<std::unique_ptr<Row>> rows_;
+  netsim::RouteKernel kernel_;
 };
 
 /// Discovered topology plus measurement state.  Links are unordered pairs;
@@ -236,9 +209,6 @@ class NetworkModel {
   /// Mutable access is for measurement writes; links are added and
   /// removed only through upsert_link / remove_link / remove_node.
   std::vector<ModelLink>& links() { return links_; }
-
-  /// Node names adjacent to `name`.
-  std::vector<std::string> neighbors(const std::string& name) const;
 
   /// Merges another model into this one (multi-collector cooperation):
   /// unknown nodes/links are added; known links keep their existing

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <sstream>
-#include <tuple>
 
 #include "util/error.hpp"
 
 namespace remos::core {
+
+using netsim::RouteKernel;
 
 namespace {
 
@@ -51,6 +51,7 @@ GraphNode& NetworkGraph::add_node(GraphNode node) {
   auto [it, inserted] = nodes_.emplace(node.name, std::move(node));
   if (!inserted)
     throw InvalidArgument("add_node: duplicate node " + it->first);
+  routes_.reset();
   return it->second;
 }
 
@@ -61,22 +62,8 @@ GraphLink& NetworkGraph::add_link(GraphLink link) {
   if (find_link(link.a, link.b))
     throw InvalidArgument("add_link: duplicate link");
   links_.push_back(std::move(link));
-  adjacency_valid_ = false;
+  routes_.reset();
   return links_.back();
-}
-
-const std::map<std::string, std::vector<std::size_t>>&
-NetworkGraph::adjacency() const {
-  if (!adjacency_valid_) {
-    adjacency_.clear();
-    for (const auto& [name, node] : nodes_) adjacency_[name];
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-      adjacency_[links_[i].a].push_back(i);
-      adjacency_[links_[i].b].push_back(i);
-    }
-    adjacency_valid_ = true;
-  }
-  return adjacency_;
 }
 
 bool NetworkGraph::has_node(const std::string& name) const {
@@ -117,79 +104,81 @@ std::vector<std::string> NetworkGraph::neighbors(
   return out;
 }
 
-std::optional<GraphPath> RouteTree::path_to(const std::string& dst) const {
-  if (dst == src_) return GraphPath{{src_}, {}};
-  if (!parent_.contains(dst)) return std::nullopt;
-  GraphPath path;
-  std::string cur = dst;
-  while (cur != src_) {
-    const Hop& hop = parent_.at(cur);
-    path.nodes.push_back(cur);
-    path.link_indices.push_back(hop.prev_link);
-    cur = hop.prev_node;
+const std::shared_ptr<const RouteKernel>& NetworkGraph::routes() const {
+  if (routes_) return routes_;
+  // A logical link weighs the physical hops it stands for, so a collapsed
+  // chain is no shortcut.  Compute nodes never forward.
+  std::vector<std::string> names;
+  std::vector<char> forwards;
+  for (const auto& [name, node] : nodes_) {
+    names.push_back(name);
+    forwards.push_back(node.is_compute ? 0 : 1);
   }
-  path.nodes.push_back(src_);
+  std::vector<RouteKernel::Edge> edges;
+  for (std::size_t i = 0; i < links_.size(); ++i)
+    edges.push_back({links_[i].a, links_[i].b, static_cast<std::int32_t>(i),
+                     static_cast<std::uint32_t>(1 + links_[i].abstracts.size()),
+                     links_[i].latency.quartiles.median});
+  routes_.reset(new RouteKernel(std::move(names), std::move(forwards), edges));
+  return routes_;
+}
+
+std::optional<GraphPath> RouteTree::path_to(const std::string& dst) const {
+  const std::int32_t d = routes_->id_of(dst);
+  if (d == RouteKernel::kNone) return std::nullopt;
+  const RouteKernel::Row& row = routes_->row(src_);
+  if (row.prev_node[static_cast<std::size_t>(d)] == RouteKernel::kNone)
+    return std::nullopt;
+  GraphPath path;
+  for (std::int32_t cur = d;;
+       cur = row.prev_node[static_cast<std::size_t>(cur)]) {
+    path.nodes.push_back(routes_->name_of(cur));
+    if (cur == src_) break;
+    path.link_indices.push_back(
+        static_cast<std::size_t>(row.prev_link[static_cast<std::size_t>(cur)]));
+  }
   std::reverse(path.nodes.begin(), path.nodes.end());
   std::reverse(path.link_indices.begin(), path.link_indices.end());
   return path;
 }
 
 RouteTree NetworkGraph::routes_from(const std::string& src) const {
-  node(src);
-  // Dijkstra on (hops, latency, name-sequence) like the substrate router.
-  struct State {
-    std::size_t hops = std::numeric_limits<std::size_t>::max();
-    Seconds latency = std::numeric_limits<Seconds>::max();
-    std::string prev_node;
-    std::size_t prev_link = 0;
-  };
-  std::map<std::string, State> best;
-  best[src] = State{0, 0, "", 0};
-  using Entry = std::tuple<std::size_t, Seconds, std::string>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-  queue.push({0, 0, src});
-
-  while (!queue.empty()) {
-    const auto [hops, lat, name] = queue.top();
-    queue.pop();
-    const State& cur = best[name];
-    if (hops > cur.hops || (hops == cur.hops && lat > cur.latency)) continue;
-    if (name != src && node(name).is_compute) continue;  // no forwarding
-    for (std::size_t li : adjacency().at(name)) {
-      const GraphLink& l = links_[li];
-      const std::string& next = l.a == name ? l.b : l.a;
-      const std::size_t nh = hops + 1;
-      const Seconds nl = lat + l.latency.quartiles.median;
-      // Strict improvement only: equal-cost ties keep the first-found
-      // predecessor.  The queue pops (hops, latency, name) in order and
-      // adjacency lists are index-ordered, so the result is still fully
-      // deterministic -- and tie re-expansion cascades (exponential on
-      // ring topologies) cannot happen.
-      auto it = best.find(next);
-      const bool improves = it == best.end() || nh < it->second.hops ||
-                            (nh == it->second.hops &&
-                             nl < it->second.latency - 1e-15);
-      if (improves) {
-        best[next] = State{nh, nl, name, li};
-        queue.push({nh, nl, next});
-      }
-    }
-  }
-
-  RouteTree tree;
-  tree.src_ = src;
-  for (const auto& [name, state] : best) {
-    if (name == src) continue;
-    tree.parent_.emplace(name,
-                         RouteTree::Hop{state.prev_node, state.prev_link});
-  }
-  return tree;
+  node(src);  // throws NotFoundError if unknown
+  const std::shared_ptr<const RouteKernel>& kernel = routes();
+  const std::int32_t s = kernel->id_of(src);
+  kernel->row(s);  // search now, not on the first path_to
+  return RouteTree(kernel, s);
 }
 
 std::optional<GraphPath> NetworkGraph::route(const std::string& src,
                                              const std::string& dst) const {
   node(dst);
   return routes_from(src).path_to(dst);
+}
+
+std::optional<GraphPath> NetworkGraph::project(
+    const std::vector<std::string_view>& route) const {
+  const RouteKernel& kernel = *routes();
+  GraphPath path;
+  std::int32_t prev = RouteKernel::kNone;
+  for (const std::string_view name : route) {
+    const std::int32_t id = kernel.id_of(name);
+    if (id == RouteKernel::kNone) continue;  // hidden in a logical link
+    if (prev != RouteKernel::kNone) {
+      const auto arcs = kernel.arcs(prev);
+      const auto arc =
+          std::find_if(arcs.begin(), arcs.end(),
+                       [&](const RouteKernel::Arc& a) { return a.to == id; });
+      if (arc == arcs.end()) return std::nullopt;
+      path.link_indices.push_back(static_cast<std::size_t>(arc->link));
+    }
+    path.nodes.emplace_back(name);
+    prev = id;
+  }
+  if (path.nodes.empty() || path.nodes.front() != route.front() ||
+      path.nodes.back() != route.back())
+    return std::nullopt;
+  return path;
 }
 
 BitsPerSec NetworkGraph::bottleneck_available_on(

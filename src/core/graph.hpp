@@ -11,10 +11,13 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "netsim/routing.hpp"
 #include "util/sharing.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
@@ -63,23 +66,22 @@ struct GraphPath {
   std::size_t hops() const { return link_indices.size(); }
 };
 
-/// Shortest-path tree from one source; answers path queries to every
-/// destination from a single Dijkstra run (all-pairs consumers like
-/// DistanceMatrix need n trees, not n^2 routes).
+/// Routes from one source to every destination of a NetworkGraph, from
+/// one kernel row.  A self-contained value: it shares the immutable route
+/// structure it was computed from, so it stays valid, and unchanged,
+/// after the graph is edited or destroyed.
 class RouteTree {
  public:
-  /// Route to `dst`; nullopt if unreachable.
+  /// Route to `dst`; nullopt if unreachable or unknown.
   std::optional<GraphPath> path_to(const std::string& dst) const;
-  const std::string& source() const { return src_; }
 
  private:
   friend class NetworkGraph;
-  struct Hop {
-    std::string prev_node;
-    std::size_t prev_link = 0;
-  };
-  std::string src_;
-  std::map<std::string, Hop> parent_;  // reachable nodes except src
+  RouteTree(std::shared_ptr<const netsim::RouteKernel> routes,
+            std::int32_t src)
+      : routes_(std::move(routes)), src_(src) {}
+  std::shared_ptr<const netsim::RouteKernel> routes_;
+  std::int32_t src_;
 };
 
 class NetworkGraph {
@@ -99,21 +101,36 @@ class NetworkGraph {
   std::vector<std::string> neighbors(const std::string& name) const;
 
   /// Mutable link access for clients that post-process annotations (e.g.
-  /// crediting an application's own traffic back before costing).
-  std::vector<GraphLink>& mutable_links() { return links_; }
+  /// crediting an application's own traffic back before costing).  Each
+  /// call drops the cached route structure, so routing sees the edits.
+  std::vector<GraphLink>& mutable_links() {
+    routes_.reset();
+    return links_;
+  }
 
   /// Mutable node access for annotation post-processing (e.g. the service
-  /// cache discounting dynamic accuracies on brownout answers).  Renaming
-  /// a node through this reference is undefined (the key stays put).
-  std::map<std::string, GraphNode>& mutable_nodes() { return nodes_; }
+  /// cache discounting dynamic accuracies on brownout answers); drops the
+  /// route structure too.  Renaming a node through it is undefined.
+  std::map<std::string, GraphNode>& mutable_nodes() {
+    routes_.reset();
+    return nodes_;
+  }
 
-  /// Fewest-hop route (ties: lower total median latency, then smaller
-  /// node names); compute nodes do not forward.  nullopt if disconnected.
+  /// The route by netsim::RouteKernel's rule, a logical link weighing
+  /// 1 + abstracts.size() hops and its median latency; compute nodes do
+  /// not forward.  nullopt if disconnected.
   std::optional<GraphPath> route(const std::string& src,
                                  const std::string& dst) const;
 
-  /// Shortest-path tree from src (one Dijkstra; see RouteTree).
+  /// Routes from src to everything (one kernel row; see RouteTree).
   RouteTree routes_from(const std::string& src) const;
+
+  /// Projects a physical route (node names, source first) onto this graph:
+  /// keeps its nodes the graph has, joining each consecutive pair by their
+  /// logical link, in O(length x degree).  nullopt unless the route starts
+  /// and ends in the graph and each such pair shares a link.
+  std::optional<GraphPath> project(
+      const std::vector<std::string_view>& route) const;
 
   /// Median available bandwidth of the route's bottleneck, in the
   /// src->dst direction.  0 if unreachable.
@@ -135,13 +152,14 @@ class NetworkGraph {
   std::string to_string() const;
 
  private:
-  /// Link indices incident to each node, built lazily for route().
-  const std::map<std::string, std::vector<std::size_t>>& adjacency() const;
+  /// The route kernel over the current nodes and links, built on first
+  /// use (unsynchronized: share a graph across threads only by copy) and
+  /// dropped by every mutator.
+  const std::shared_ptr<const netsim::RouteKernel>& routes() const;
 
   std::map<std::string, GraphNode> nodes_;
   std::vector<GraphLink> links_;
-  mutable std::map<std::string, std::vector<std::size_t>> adjacency_;
-  mutable bool adjacency_valid_ = false;
+  mutable std::shared_ptr<const netsim::RouteKernel> routes_;
 };
 
 }  // namespace remos::core

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string_view>
 
 #include "util/error.hpp"
 
@@ -52,6 +53,25 @@ Measurement used_for_timeframe(const collector::LinkHistory& history,
   return Measurement{};
 }
 
+std::optional<GraphPath> logical_route(const RoutingIndex& index,
+                                       const NetworkGraph& graph,
+                                       const std::string& src,
+                                       const std::string& dst) {
+  const std::int32_t s = index.id_of(src);
+  std::int32_t cur = index.id_of(dst);
+  if (s == RoutingIndex::kNoNode || cur == RoutingIndex::kNoNode)
+    return std::nullopt;
+  const RoutingIndex::Row& row = index.row_from(s);
+  std::vector<std::string_view> route;  // dst back to src
+  for (; cur != s; cur = row.prev_node[static_cast<std::size_t>(cur)]) {
+    if (cur == RoutingIndex::kNoNode) return std::nullopt;  // unreachable
+    route.push_back(index.name_of(cur));
+  }
+  route.push_back(src);
+  std::reverse(route.begin(), route.end());
+  return graph.project(route);
+}
+
 NetworkGraph build_logical_graph(const NetworkModel& model,
                                  const std::vector<std::string>& nodes,
                                  const Timeframe& timeframe, Seconds now,
@@ -65,11 +85,11 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
     queried.insert(n);
   }
 
-  // 1. Relevant subgraph: union of pairwise routes, via the model's
-  // cached RoutingIndex (memoized per-source BFS rows shared across
-  // queries on the same snapshot).  Each pair walk is O(path length) and
-  // collects the links it crosses, so this step and the annotation below
-  // cost O(kept links), not O(model).
+  // 1. Relevant subgraph: union of the routes between every *ordered*
+  // pair of queried nodes (under ties b->a need not retrace a->b), from
+  // the model's cached RoutingIndex rows.  Each pair walk is O(path
+  // length) and collects the links it crosses, so this step and the
+  // annotation below cost O(kept links), not O(model).
   std::set<std::string> keep_nodes;
   std::vector<std::uint32_t> kept;  // indices into model.links(), all up
   if (options.keep_all) {
@@ -84,16 +104,17 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
       const std::int32_t ia = index.id_of(a);
       const RoutingIndex::Row& row = index.row_from(ia);
       for (const std::string& b : queried) {
-        if (a >= b) continue;
+        if (a == b) continue;
         const std::int32_t ib = index.id_of(b);
-        if (row.parent[static_cast<std::size_t>(ib)] == RoutingIndex::kNoNode)
+        if (row.prev_node[static_cast<std::size_t>(ib)] ==
+            RoutingIndex::kNoNode)
           continue;  // unreachable pair
         // Walk b back to a; every edge on the way is relevant.
         for (std::int32_t cur = ib; cur != ia;) {
           const auto c = static_cast<std::size_t>(cur);
           keep_nodes.insert(index.name_of(cur));
-          kept.push_back(row.via_link[c]);
-          cur = row.parent[c];
+          kept.push_back(static_cast<std::uint32_t>(row.prev_link[c]));
+          cur = row.prev_node[c];
         }
       }
     }

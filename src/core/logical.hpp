@@ -5,7 +5,7 @@
 // network's true physical topology."  Given the collector's model and the
 // set of nodes a query names, this builder:
 //   1. keeps only the subgraph relevant to connecting the queried nodes
-//      (union of routes between all pairs);
+//      (union of the routes between all ordered pairs);
 //   2. annotates every element for the requested timeframe (static
 //      capacities; current / windowed / predicted usage as quartile
 //      Measurements);
@@ -16,6 +16,7 @@
 //      abstraction.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,15 @@ NetworkGraph build_logical_graph(const collector::NetworkModel& model,
                                  const Timeframe& timeframe, Seconds now,
                                  const Predictor& predictor,
                                  const LogicalOptions& options);
+
+/// The path a flow from `src` to `dst` takes through `graph`, built by
+/// build_logical_graph from the model `index` belongs to: the model's
+/// route -- the simulator's, by RouteKernel's rule -- projected onto the
+/// graph.  nullopt if an endpoint is unknown or unreachable.
+std::optional<GraphPath> logical_route(const collector::RoutingIndex& index,
+                                       const NetworkGraph& graph,
+                                       const std::string& src,
+                                       const std::string& dst);
 
 /// Annotation helper shared with the flow solver: the "used bandwidth"
 /// Measurement of one link direction for a timeframe.

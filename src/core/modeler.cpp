@@ -4,6 +4,8 @@
 #include <array>
 #include <chrono>
 #include <limits>
+#include <map>
+#include <optional>
 #include <set>
 
 #include "netsim/maxmin.hpp"
@@ -225,21 +227,16 @@ FlowQueryResult Modeler::flow_info(const FlowQuery& query) const {
   for (const std::string& e : endpoint_set)
     if (m.has_node(e)) known.insert(e);
   const NetworkGraph graph = build_flow_graph(m, known, query.timeframe);
-  std::map<std::string, RouteTree> route_trees;
-  return solve_on_graph(query, graph, known, route_trees);
+  return solve_on_graph(query, m, graph);
 }
 
 FlowQueryResult Modeler::solve_on_graph(
-    const FlowQuery& query, const NetworkGraph& graph,
-    const std::set<std::string>& known,
-    std::map<std::string, RouteTree>& route_trees) const {
+    const FlowQuery& query, const collector::NetworkModel& m,
+    const NetworkGraph& graph) const {
   std::vector<const FlowRequest*> all;
   for (const FlowRequest& f : query.fixed) all.push_back(&f);
   for (const FlowRequest& f : query.variable) all.push_back(&f);
   if (query.independent) all.push_back(&*query.independent);
-  const auto resolvable = [&](const FlowRequest& f) {
-    return known.contains(f.src) && known.contains(f.dst);
-  };
 
   // Resource table over the logical graph: two directed resources per
   // link, then one per node with a known internal bandwidth.
@@ -262,24 +259,25 @@ FlowQueryResult Modeler::solve_on_graph(
     }
   }
 
-  // Route every flow once.  Flows sharing a source (the common case in
-  // collective-communication queries) share one Dijkstra: RouteTrees are
-  // memoized per distinct source instead of re-run per flow.
+  // Route every flow once, on the model: its route there (the route the
+  // simulator forwards it on) projected onto the logical graph.
   const std::size_t route_span =
       trace_ ? trace_->open("route_resolution") : 0;
-  const auto tree_for = [&](const std::string& src) -> const RouteTree& {
-    auto it = route_trees.find(src);
-    if (it == route_trees.end())
-      it = route_trees.emplace(src, graph.routes_from(src)).first;
-    return it->second;
+  const collector::RoutingIndex& routing = m.routing_index();
+  // constrained_nodes is in name order (graph.nodes() is a map).
+  const auto node_resource =
+      [&](const std::string& name) -> std::optional<std::size_t> {
+    const auto it = std::lower_bound(constrained_nodes.begin(),
+                                     constrained_nodes.end(), name);
+    if (it == constrained_nodes.end() || *it != name) return std::nullopt;
+    return 2 * nl + static_cast<std::size_t>(it - constrained_nodes.begin());
   };
   std::vector<RoutedFlow> routed(all.size());
   for (std::size_t i = 0; i < all.size(); ++i) {
     RoutedFlow& rf = routed[i];
     rf.request = all[i];
-    if (!resolvable(*all[i])) continue;  // unknown endpoint: unroutable
-    const auto path = tree_for(all[i]->src).path_to(all[i]->dst);
-    if (!path) continue;
+    const auto path = logical_route(routing, graph, all[i]->src, all[i]->dst);
+    if (!path) continue;  // unknown endpoint or no route: unroutable
     rf.routable = true;
     for (std::size_t k = 0; k < path->link_indices.size(); ++k) {
       const std::size_t li = path->link_indices[k];
@@ -294,14 +292,8 @@ FlowQueryResult Modeler::solve_on_graph(
       }
       rf.min_accuracy = std::min(rf.min_accuracy, l.capacity.accuracy);
     }
-    for (const std::string& name : path->nodes) {
-      const auto it = std::find(constrained_nodes.begin(),
-                                constrained_nodes.end(), name);
-      if (it != constrained_nodes.end())
-        rf.resources.push_back(
-            2 * nl + static_cast<std::size_t>(
-                         it - constrained_nodes.begin()));
-    }
+    for (const std::string& name : path->nodes)
+      if (const auto r = node_resource(name)) rf.resources.push_back(*r);
   }
 
   // Route the multicast trees: the resource set is the union over the
@@ -317,17 +309,9 @@ FlowQueryResult Modeler::solve_on_graph(
   for (std::size_t i = 0; i < query.multicast.size(); ++i) {
     const MulticastRequest& mc = query.multicast[i];
     RoutedMulticast& rm = routed_mc[i];
-    if (!known.contains(mc.src)) {
-      rm.routable = false;
-      continue;
-    }
-    for (const std::string& dst : mc.dsts)
-      if (!known.contains(dst)) rm.routable = false;
-    if (!rm.routable) continue;
     std::set<std::size_t> union_resources;
-    const RouteTree& tree = tree_for(mc.src);
     for (const std::string& dst : mc.dsts) {
-      const auto path = tree.path_to(dst);
+      const auto path = logical_route(routing, graph, mc.src, dst);
       if (!path) {
         rm.routable = false;
         break;
@@ -344,14 +328,8 @@ FlowQueryResult Modeler::solve_on_graph(
           rm.min_accuracy = std::min(rm.min_accuracy, used.accuracy);
       }
       rm.latency = std::max(rm.latency, leaf_latency);
-      for (const std::string& name : path->nodes) {
-        const auto it = std::find(constrained_nodes.begin(),
-                                  constrained_nodes.end(), name);
-        if (it != constrained_nodes.end())
-          union_resources.insert(
-              2 * nl + static_cast<std::size_t>(
-                           it - constrained_nodes.begin()));
-      }
+      for (const std::string& name : path->nodes)
+        if (const auto r = node_resource(name)) union_resources.insert(*r);
     }
     rm.resources.assign(union_resources.begin(), union_resources.end());
   }
@@ -564,12 +542,11 @@ FlowBatchResult Modeler::flow_info_batch(const FlowBatchQuery& batch) const {
   // Independent mode: each sub-query is answered exactly as a lone
   // flow_info call would answer it (same validation, same known-endpoint
   // graph, same staged sweep), but sub-queries naming the same
-  // (endpoint set, timeframe) share one logical-graph build and one
-  // route-tree memo -- the graphs are pure functions of that key, so
-  // sharing is bit-for-bit invisible in the results.
+  // (endpoint set, timeframe) share one logical-graph build -- the
+  // graphs are pure functions of that key, so sharing is bit-for-bit
+  // invisible in the results.
   struct Group {
     NetworkGraph graph;
-    std::map<std::string, RouteTree> route_trees;
     bool built = false;
   };
   std::map<std::string, Group> groups;
@@ -589,7 +566,7 @@ FlowBatchResult Modeler::flow_info_batch(const FlowBatchQuery& batch) const {
         g.graph = build_flow_graph(m, known, q.timeframe);
         g.built = true;
       }
-      out.results[i] = solve_on_graph(q, g.graph, known, g.route_trees);
+      out.results[i] = solve_on_graph(q, m, g.graph);
     } catch (const std::exception& e) {
       out.errors[i] = e.what();
     }

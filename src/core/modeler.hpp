@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 
@@ -160,14 +159,12 @@ class Modeler {
                                 const std::set<std::string>& known,
                                 const Timeframe& timeframe) const;
   /// Routes and solves `query` against a pre-built logical graph --
-  /// everything flow_info does after the graph build.  `route_trees`
-  /// memoizes per-source route trees over `graph`; callers sharing one
-  /// graph across queries may share the memo (trees depend only on the
-  /// graph).
-  FlowQueryResult solve_on_graph(
-      const FlowQuery& query, const NetworkGraph& graph,
-      const std::set<std::string>& known,
-      std::map<std::string, RouteTree>& route_trees) const;
+  /// everything flow_info does after the graph build.  Each flow takes
+  /// its route from `m`'s routing index, projected onto `graph`
+  /// (logical_route); `graph` must have been built from `m`.
+  FlowQueryResult solve_on_graph(const FlowQuery& query,
+                                 const collector::NetworkModel& m,
+                                 const NetworkGraph& graph) const;
 
   const collector::Collector* single_ = nullptr;
   const collector::CollectorSet* set_ = nullptr;

@@ -14,8 +14,9 @@ namespace {
 
 using apps::CmuHarness;
 
-/// h1 - r1 - {r2, r3} - r4 - h2: two equal-length routes, and BFS
-/// expands neighbors in name order, so r2 wins while r1-r2 is up.
+/// h1 - r1 - {r2, r3} - r4 - h2: two routes equal in hops and latency,
+/// and the predecessor whose name sorts first wins the tie, so r2 wins
+/// while r1-r2 is up.
 NetworkModel diamond() {
   NetworkModel m;
   for (const char* r : {"r1", "r2", "r3", "r4"}) m.upsert_node(r, true);
@@ -36,9 +37,10 @@ std::vector<std::string> route(const NetworkModel& m, const std::string& a,
   const RoutingIndex::Row& row = index.row_from(index.id_of(a));
   std::vector<std::string> path;
   std::int32_t cur = index.id_of(b);
-  if (row.parent[static_cast<std::size_t>(cur)] == RoutingIndex::kNoNode)
+  if (row.prev_node[static_cast<std::size_t>(cur)] == RoutingIndex::kNoNode)
     return path;
-  for (; cur != index.id_of(a); cur = row.parent[static_cast<std::size_t>(cur)])
+  for (; cur != index.id_of(a);
+       cur = row.prev_node[static_cast<std::size_t>(cur)])
     path.insert(path.begin(), index.name_of(cur));
   path.insert(path.begin(), a);
   return path;

@@ -4,6 +4,7 @@
 
 #include "core/graph.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace remos::core {
 namespace {
@@ -127,6 +128,68 @@ TEST(NetworkGraph, ComputeNodesDoNotForward) {
   EXPECT_FALSE(g.route("a", "c").has_value());
   EXPECT_EQ(g.bottleneck_available("a", "c"), 0.0);
   EXPECT_TRUE(std::isinf(g.path_latency("a", "c")));
+}
+
+/// a and b joined two ways: one logical link hiding a collapsed chain
+/// of `hidden` routers (2 ms), or a physical detour a -- r -- b (1 ms per
+/// link).
+NetworkGraph chain_or_detour(std::size_t hidden) {
+  NetworkGraph g;
+  g.add_node(compute("a"));
+  g.add_node(compute("b"));
+  g.add_node(router("r"));
+  GraphLink chain = link("a", "b", 100, -1, -1, 2.0);
+  for (std::size_t i = 0; i < hidden; ++i)
+    chain.abstracts.push_back(numbered("x", i));
+  g.add_link(chain);
+  g.add_link(link("a", "r", 100));
+  g.add_link(link("r", "b", 100));
+  return g;
+}
+
+TEST(NetworkGraph, CollapsedChainIsNoShortcut) {
+  // Three physical hops behind one logical link lose to two real ones.
+  const auto detour = chain_or_detour(2).route("a", "b");
+  ASSERT_TRUE(detour.has_value());
+  EXPECT_EQ(detour->nodes, (std::vector<std::string>{"a", "r", "b"}));
+  // One hidden router: two hops and 2 ms either way, and the predecessor
+  // whose name sorts first ("a" < "r") wins the tie.
+  const auto chain = chain_or_detour(1).route("a", "b");
+  ASSERT_TRUE(chain.has_value());
+  EXPECT_EQ(chain->nodes, (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(NetworkGraph, RoutesFollowEdits) {
+  NetworkGraph g = chain_or_detour(1);
+  const RouteTree before = g.routes_from("a");
+  // Slower chain: the detour now wins the hop tie on latency.
+  g.mutable_links()[0].latency = Measurement::exact(millis(5));
+  EXPECT_EQ(g.route("a", "b")->nodes,
+            (std::vector<std::string>{"a", "r", "b"}));
+  // A faster detour added later wins.
+  g.add_node(router("s"));
+  g.add_link(link("a", "s", 100));
+  g.add_link(link("s", "b", 100, -1, -1, 0.5));
+  EXPECT_EQ(g.route("a", "b")->nodes,
+            (std::vector<std::string>{"a", "s", "b"}));
+  // A tree taken earlier is a value: it still answers for the old graph.
+  EXPECT_EQ(before.path_to("b")->nodes, (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(NetworkGraph, ProjectKeepsGraphNodesAndTheirLinks) {
+  NetworkGraph g = chain_or_detour(2);
+  const auto hidden = g.project({"a", "x0", "x1", "b"});
+  ASSERT_TRUE(hidden.has_value());
+  EXPECT_EQ(hidden->nodes, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(hidden->link_indices, (std::vector<std::size_t>{0}));
+  const auto detour = g.project({"a", "r", "b"});
+  ASSERT_TRUE(detour.has_value());
+  EXPECT_EQ(detour->link_indices, (std::vector<std::size_t>{1, 2}));
+  // Routes that leave the graph or skip a link do not project.
+  EXPECT_FALSE(g.project({"x0", "a", "b"}).has_value());
+  EXPECT_FALSE(g.project({"r", "a", "x0"}).has_value());
+  g.add_node(router("q"));
+  EXPECT_FALSE(g.project({"a", "q", "b"}).has_value());
 }
 
 TEST(NetworkGraph, SelfRoute) {

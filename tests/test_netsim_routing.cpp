@@ -137,5 +137,21 @@ TEST(Routing, BreaksHopTiesByLatency) {
   EXPECT_EQ(p.nodes[1], fast);
 }
 
+TEST(Routing, ExactTiesGoToThePredecessorWhoseNameSortsFirst) {
+  // Two equal routes a -> {w2, w10} -> b.  w2 has the lower id, but
+  // "w10" sorts first: names, not ids, are what every plane shares.
+  Topology t;
+  const NodeId a = t.add_node("a", NodeKind::kCompute);
+  const NodeId b = t.add_node("b", NodeKind::kCompute);
+  const NodeId w2 = t.add_node("w2", NodeKind::kNetwork);
+  const NodeId w10 = t.add_node("w10", NodeKind::kNetwork);
+  for (const NodeId w : {w2, w10}) {
+    t.add_link(a, w, mbps(10), millis(1));
+    t.add_link(w, b, mbps(10), millis(1));
+  }
+  RoutingTable routes(t);
+  EXPECT_EQ(routes.route(a, b).nodes[1], w10);
+}
+
 }  // namespace
 }  // namespace remos::netsim

@@ -958,6 +958,12 @@ constexpr int kVictims = 7;
 constexpr int kQueriesPerVictim = 400;
 constexpr auto kVictimSpacing = 150us;
 constexpr auto kVictimDeadline = kTimeScale * 50ms;
+// Floor on the share of the hot tenant's admission requests (admitted
+// plus shed; fresh cache hits never reach admission) that admission
+// sheds.  On a 4-core box, 45 standalone runs shed 5.0%-69% of them and
+// 48 runs beside three other copies of the soak 1.3% and up; a hot
+// client paced like a victim sheds a median 0.2%.
+constexpr double kMinHotShedShare = 0.01;
 
 std::chrono::microseconds percentile(
     std::vector<std::chrono::microseconds> v, double p) {
@@ -976,6 +982,7 @@ struct SoakResult {
   std::vector<std::uint64_t> victim_total;
   std::uint64_t victim_sheds = 0;  // admission-level, across victims
   std::uint64_t hot_sheds = 0;
+  std::uint64_t hot_admitted = 0;
   std::uint64_t total_sheds = 0;
   RemosClient::Stats hot;
   ServiceStats stats;
@@ -1088,7 +1095,9 @@ SoakResult run_soak(bool with_hot) {
         svc->admission().tenant_stats(victims[static_cast<std::size_t>(v)])
             .shed;
   }
-  r.hot_sheds = svc->admission().tenant_stats(hot_id).shed;
+  const auto hot_stats = svc->admission().tenant_stats(hot_id);
+  r.hot_sheds = hot_stats.shed;
+  r.hot_admitted = hot_stats.admitted;
   r.total_sheds = svc->admission().shed();
   r.hot = hot_client.stats();
   svc->stop();
@@ -1101,10 +1110,17 @@ TEST(OverloadSoak, HotTenantStormDoesNotStarveTheVictims) {
   const SoakResult storm = run_soak(/*with_hot=*/true);
 
   // The hot tenant really was hot: unpaced, it offered far more load
-  // than any single victim's quota, and overload really occurred.
+  // than any single victim's quota, and overloaded its slice -- admission
+  // shed a share of its requests.  A share, not a count: a box that
+  // starves the hot client of CPU shrinks its requests and its sheds
+  // together.
   EXPECT_GT(storm.hot.requests,
             static_cast<std::uint64_t>(kQueriesPerVictim));
-  EXPECT_GT(storm.total_sheds, 50u);
+  const std::uint64_t hot_admission = storm.hot_sheds + storm.hot_admitted;
+  EXPECT_GE(static_cast<double>(storm.hot_sheds),
+            kMinHotShedShare * static_cast<double>(hot_admission))
+      << storm.hot_sheds << " of " << hot_admission
+      << " hot admission requests shed";
 
   for (int v = 0; v < kVictims; ++v) {
     const std::size_t i = static_cast<std::size_t>(v);
