@@ -8,7 +8,9 @@
 //     queries against a snapshot of the model.
 //
 // Results print as a table and are written to BENCH_scale.json (override
-// with --out FILE) for CI trend tracking.
+// with --out FILE) for CI trend tracking.  A --check run never rewrites
+// the baseline it compares against: it writes its JSON only where --out
+// names.
 //
 // Flags:
 //   --small   sweep only topologies up to 256 hosts (CI perf-smoke mode)
@@ -16,10 +18,11 @@
 //             solve exceeds 10% of the from-scratch solve on the
 //             256-host Waxman instance, if any topology's query p50
 //             exceeds 1.5x its value in the committed BENCH_scale.json
-//             plus 20 us (read before the run overwrites it), or (full
+//             plus 20 us, or (full
 //             sweep only) if the 1024-host fat-tree model build + 1000
 //             queries exceed 5 s
-//   --out F   write the JSON to F instead of BENCH_scale.json
+//   --out F   write the JSON to F (default: BENCH_scale.json, or no
+//             file under --check)
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -267,7 +270,7 @@ int main(int argc, char** argv) {
   using bench::rule;
 
   bool small = false, check = false;
-  std::string out_path = "BENCH_scale.json";
+  std::string out_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--small") == 0) {
       small = true;
@@ -281,7 +284,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The committed baseline must be read before the run overwrites it.
+  if (out_path.empty() && !check) out_path = "BENCH_scale.json";
+
   std::string baseline;
   if (check) {
     std::ifstream in("BENCH_scale.json");
@@ -327,28 +331,30 @@ int main(int argc, char** argv) {
          fixed(e.queries.p99_us, 1)},
         w);
 
-  std::ofstream json(out_path);
-  json << "{\n  \"mode\": \"" << (small ? "small" : "full")
-       << "\",\n  \"topologies\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    json << "    {\"family\": \"" << e.tc.family
-         << "\", \"hosts\": " << e.tc.hosts
-         << ", \"nodes\": " << e.tc.topo.node_count()
-         << ", \"links\": " << e.tc.topo.link_count()
-         << ", \"build_ms\": " << fixed(e.build_ms, 3)
-         << ",\n     \"churn\": {\"events\": " << e.churn.events
-         << ", \"inc_mean_us\": " << fixed(e.churn.inc_mean_us, 3)
-         << ", \"oracle_mean_us\": " << fixed(e.churn.oracle_mean_us, 3)
-         << ", \"ratio\": " << fixed(e.churn.ratio(), 4)
-         << "},\n     \"queries\": {\"count\": " << e.queries.count
-         << ", \"total_ms\": " << fixed(e.queries.total_ms, 2)
-         << ", \"p50_us\": " << fixed(e.queries.p50_us, 2)
-         << ", \"p99_us\": " << fixed(e.queries.p99_us, 2) << "}}"
-         << (i + 1 < entries.size() ? "," : "") << "\n";
+  if (!out_path.empty()) {
+    std::ofstream json(out_path);
+    json << "{\n  \"mode\": \"" << (small ? "small" : "full")
+         << "\",\n  \"topologies\": [\n";
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const Entry& e = entries[i];
+      json << "    {\"family\": \"" << e.tc.family
+           << "\", \"hosts\": " << e.tc.hosts
+           << ", \"nodes\": " << e.tc.topo.node_count()
+           << ", \"links\": " << e.tc.topo.link_count()
+           << ", \"build_ms\": " << fixed(e.build_ms, 3)
+           << ",\n     \"churn\": {\"events\": " << e.churn.events
+           << ", \"inc_mean_us\": " << fixed(e.churn.inc_mean_us, 3)
+           << ", \"oracle_mean_us\": " << fixed(e.churn.oracle_mean_us, 3)
+           << ", \"ratio\": " << fixed(e.churn.ratio(), 4)
+           << "},\n     \"queries\": {\"count\": " << e.queries.count
+           << ", \"total_ms\": " << fixed(e.queries.total_ms, 2)
+           << ", \"p50_us\": " << fixed(e.queries.p50_us, 2)
+           << ", \"p99_us\": " << fixed(e.queries.p99_us, 2) << "}}"
+           << (i + 1 < entries.size() ? "," : "") << "\n";
+    }
+    json << "  ]\n}\n";
+    std::cout << "\nwrote " << out_path << "\n";
   }
-  json << "  ]\n}\n";
-  std::cout << "\nwrote " << out_path << "\n";
 
   if (!check) return 0;
   bool ok = true;

@@ -25,10 +25,12 @@
 // to within 1e-9 of the host link capacity before any timing counts.
 //
 // Results are printed as a table and also written to BENCH_service.json
-// in the working directory for CI trend tracking.
+// in the working directory (override with --out FILE) for CI trend
+// tracking.
 //
 // With --check, the run is additionally gated against the committed
-// BENCH_service.json baseline (read before it is overwritten): overload
+// BENCH_service.json baseline, which it never rewrites: a checked run
+// writes its JSON only where --out names.  The gates: overload
 // shed rate must stay within +/-25% relative (0.02 absolute epsilon),
 // capacity p99 must stay under baseline*1.25 + 200us, the 1024-host
 // single-client batch-8 cell must hold a >= 3x speedup over its
@@ -342,10 +344,19 @@ int main(int argc, char** argv) {
   using bench::rule;
 
   bool check = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--check") check = true;
+  std::string out_path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--check") {
+      check = true;
+    } else if (std::string(argv[i]) == "--out" && i + 1 < argc) {
+      out_path = argv[++i];
+    } else {
+      std::cerr << "usage: bench_service [--check] [--out FILE]\n";
+      return 2;
+    }
+  }
+  if (out_path.empty() && !check) out_path = "BENCH_service.json";
 
-  // The committed baseline must be read before the run overwrites it.
   std::string baseline;
   if (check) {
     std::ifstream in("BENCH_service.json");
@@ -512,31 +523,33 @@ int main(int argc, char** argv) {
             << fixed(batch_max_dev, 12) << " bit/s (gate 1e-9 x "
             << fixed(mbps(1000), 0) << ")\n";
 
-  std::ofstream json("BENCH_service.json");
-  json << "{\n"
-       << "  \"capacity\": {\"qps\": " << fixed(cap.qps, 1)
-       << ", \"p50_us\": " << cap.p50_us << ", \"p99_us\": " << cap.p99_us
-       << ", \"admitted\": " << cap.admitted << ", \"shed\": " << cap.shed
-       << ", \"errors\": " << cap.errors << "},\n"
-       << "  \"overload_2x\": {\"qps\": " << fixed(over.qps, 1)
-       << ", \"p50_us\": " << over.p50_us
-       << ", \"p99_us\": " << over.p99_us
-       << ", \"admitted\": " << over.admitted
-       << ", \"shed\": " << over.shed
-       << ", \"shed_rate\": " << fixed(over.shed_rate(), 4)
-       << ", \"errors\": " << over.errors << "},\n"
-       << "  \"obs_overhead\": {\"bare_p50_us\": " << bare.p50_us
-       << ", \"wired_p50_us\": " << wired.p50_us
-       << ", \"p50_overhead\": " << fixed(obs_overhead, 4)
-       << ", \"errors\": " << bare.errors + wired.errors << "},\n"
-       << "  \"batch_1024\": {\"seq_qps\": " << fixed(flagship.seq_qps, 1)
-       << ", \"batch_qps\": " << fixed(flagship.batch_qps, 1)
-       << ", \"speedup\": " << fixed(flagship.speedup(), 2)
-       << ", \"p99_us\": " << flagship.batch_p99_us
-       << ", \"max_dev\": " << fixed(batch_max_dev, 12)
-       << ", \"errors\": " << flagship.errors << "}\n"
-       << "}\n";
-  std::cout << "\nwrote BENCH_service.json\n";
+  if (!out_path.empty()) {
+    std::ofstream json(out_path);
+    json << "{\n"
+         << "  \"capacity\": {\"qps\": " << fixed(cap.qps, 1)
+         << ", \"p50_us\": " << cap.p50_us << ", \"p99_us\": " << cap.p99_us
+         << ", \"admitted\": " << cap.admitted << ", \"shed\": " << cap.shed
+         << ", \"errors\": " << cap.errors << "},\n"
+         << "  \"overload_2x\": {\"qps\": " << fixed(over.qps, 1)
+         << ", \"p50_us\": " << over.p50_us
+         << ", \"p99_us\": " << over.p99_us
+         << ", \"admitted\": " << over.admitted
+         << ", \"shed\": " << over.shed
+         << ", \"shed_rate\": " << fixed(over.shed_rate(), 4)
+         << ", \"errors\": " << over.errors << "},\n"
+         << "  \"obs_overhead\": {\"bare_p50_us\": " << bare.p50_us
+         << ", \"wired_p50_us\": " << wired.p50_us
+         << ", \"p50_overhead\": " << fixed(obs_overhead, 4)
+         << ", \"errors\": " << bare.errors + wired.errors << "},\n"
+         << "  \"batch_1024\": {\"seq_qps\": " << fixed(flagship.seq_qps, 1)
+         << ", \"batch_qps\": " << fixed(flagship.batch_qps, 1)
+         << ", \"speedup\": " << fixed(flagship.speedup(), 2)
+         << ", \"p99_us\": " << flagship.batch_p99_us
+         << ", \"max_dev\": " << fixed(batch_max_dev, 12)
+         << ", \"errors\": " << flagship.errors << "}\n"
+         << "}\n";
+    std::cout << "\nwrote " << out_path << "\n";
+  }
 
   // Exit nonzero if the SLO story failed: at 2x overload the service
   // must shed rather than queue without bound, nothing may error, and

@@ -156,31 +156,6 @@ std::optional<GraphPath> NetworkGraph::route(const std::string& src,
   return routes_from(src).path_to(dst);
 }
 
-std::optional<GraphPath> NetworkGraph::project(
-    const std::vector<std::string_view>& route) const {
-  const RouteKernel& kernel = *routes();
-  GraphPath path;
-  std::int32_t prev = RouteKernel::kNone;
-  for (const std::string_view name : route) {
-    const std::int32_t id = kernel.id_of(name);
-    if (id == RouteKernel::kNone) continue;  // hidden in a logical link
-    if (prev != RouteKernel::kNone) {
-      const auto arcs = kernel.arcs(prev);
-      const auto arc =
-          std::find_if(arcs.begin(), arcs.end(),
-                       [&](const RouteKernel::Arc& a) { return a.to == id; });
-      if (arc == arcs.end()) return std::nullopt;
-      path.link_indices.push_back(static_cast<std::size_t>(arc->link));
-    }
-    path.nodes.emplace_back(name);
-    prev = id;
-  }
-  if (path.nodes.empty() || path.nodes.front() != route.front() ||
-      path.nodes.back() != route.back())
-    return std::nullopt;
-  return path;
-}
-
 BitsPerSec NetworkGraph::bottleneck_available_on(
     const GraphPath& path) const {
   if (path.link_indices.empty()) return 0;

@@ -14,7 +14,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "netsim/routing.hpp"
@@ -125,13 +124,6 @@ class NetworkGraph {
   /// Routes from src to everything (one kernel row; see RouteTree).
   RouteTree routes_from(const std::string& src) const;
 
-  /// Projects a physical route (node names, source first) onto this graph:
-  /// keeps its nodes the graph has, joining each consecutive pair by their
-  /// logical link, in O(length x degree).  nullopt unless the route starts
-  /// and ends in the graph and each such pair shares a link.
-  std::optional<GraphPath> project(
-      const std::vector<std::string_view>& route) const;
-
   /// Median available bandwidth of the route's bottleneck, in the
   /// src->dst direction.  0 if unreachable.
   BitsPerSec bottleneck_available(const std::string& src,
@@ -152,6 +144,8 @@ class NetworkGraph {
   std::string to_string() const;
 
  private:
+  friend class LogicalAssembly;  // logical.cpp's checked bulk append
+
   /// The route kernel over the current nodes and links, built on first
   /// use (unsynchronized: share a graph across threads only by copy) and
   /// dropped by every mutator.

@@ -2,13 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
-#include <string_view>
+#include <numeric>
 
 #include "util/error.hpp"
 
 namespace remos::core {
+
+/// Appends what build_logical_topology has already checked -- names
+/// unique and ascending, links between present nodes, at most one per
+/// pair -- without add_link's O(links) duplicate scan.
+class LogicalAssembly {
+ public:
+  static void add_node(NetworkGraph& g, GraphNode node) {
+    g.nodes_.emplace_hint(g.nodes_.end(), node.name, std::move(node));
+  }
+  static void add_link(NetworkGraph& g, GraphLink link) {
+    g.links_.push_back(std::move(link));
+  }
+};
 
 namespace {
 
@@ -18,6 +29,78 @@ using collector::NetworkModel;
 using collector::RoutingIndex;
 
 Measurement exactish(double v) { return Measurement::exact(v); }
+
+/// One link of the working set: a kept model link, or the chain merged
+/// from two earlier entries.  Ends and hidden routers are ids.
+struct WorkLink {
+  std::int32_t a, b;
+  Measurement capacity, latency, used_ab, used_ba;
+  std::vector<std::int32_t> abstracts;  // ascending
+  SharingPolicy sharing = SharingPolicy::kUnknown;
+
+  std::int32_t other(std::int32_t end) const { return a == end ? b : a; }
+};
+
+/// Collapses router n out of l1 = x--n and l2 = n--y (l1 the older) into
+/// x--y: min capacity, summed latency, and per direction the usage that
+/// leaves the least availability along the chain.
+WorkLink merge(const WorkLink& l1, const WorkLink& l2, std::int32_t n,
+               std::int32_t x, std::int32_t y) {
+  // Direction bookkeeping: usage seen traveling x -> n -> y.
+  auto used_towards = [](const WorkLink& l, std::int32_t to) {
+    return l.b == to ? l.used_ab : l.used_ba;
+  };
+  auto avail = [](const Measurement& cap, const Measurement& used) {
+    GraphLink tmp;
+    tmp.capacity = cap;
+    tmp.used_ab = used;
+    return tmp.available_ab();
+  };
+  WorkLink merged;
+  merged.a = x;
+  merged.b = y;
+  const double cap = std::min(l1.capacity.mean, l2.capacity.mean);
+  merged.capacity = exactish(cap);
+  merged.latency = exactish(l1.latency.mean + l2.latency.mean);
+  // Logical usage: whatever leaves the *least* availability along the
+  // chain, per direction, element-wise on quartiles.
+  auto merge_used = [&](std::int32_t from) {
+    const Measurement a1 =
+        avail(l1.capacity, used_towards(l1, from == x ? n : x));
+    const Measurement a2 =
+        avail(l2.capacity, used_towards(l2, from == x ? y : n));
+    if (!l1.used_ab.known() && !l2.used_ab.known() && !l1.used_ba.known() &&
+        !l2.used_ba.known())
+      return Measurement{};
+    Measurement out;
+    auto lo = [](double p, double q) { return std::min(p, q); };
+    // available = min(a1, a2); used = cap - available (per quartile).
+    out.quartiles.min = cap - lo(a1.quartiles.max, a2.quartiles.max);
+    out.quartiles.q1 = cap - lo(a1.quartiles.q3, a2.quartiles.q3);
+    out.quartiles.median = cap - lo(a1.quartiles.median, a2.quartiles.median);
+    out.quartiles.q3 = cap - lo(a1.quartiles.q1, a2.quartiles.q1);
+    out.quartiles.max = cap - lo(a1.quartiles.min, a2.quartiles.min);
+    out.mean = cap - lo(a1.mean, a2.mean);
+    out.samples = std::min(a1.samples, a2.samples);
+    out.accuracy = std::min(a1.accuracy, a2.accuracy);
+    for (double* q : {&out.quartiles.min, &out.quartiles.q1,
+                      &out.quartiles.median, &out.quartiles.q3,
+                      &out.quartiles.max, &out.mean})
+      *q = std::max(0.0, *q);
+    return out;
+  };
+  merged.used_ab = merge_used(x);
+  merged.used_ba = merge_used(y);
+  // A chain of uniform policy keeps it; a mixed chain is opaque.
+  merged.sharing =
+      l1.sharing == l2.sharing ? l1.sharing : SharingPolicy::kUnknown;
+  merged.abstracts = l1.abstracts;
+  merged.abstracts.push_back(n);
+  merged.abstracts.insert(merged.abstracts.end(), l2.abstracts.begin(),
+                          l2.abstracts.end());
+  std::sort(merged.abstracts.begin(), merged.abstracts.end());
+  return merged;
+}
 
 }  // namespace
 
@@ -53,90 +136,148 @@ Measurement used_for_timeframe(const collector::LinkHistory& history,
   return Measurement{};
 }
 
-std::optional<GraphPath> logical_route(const RoutingIndex& index,
-                                       const NetworkGraph& graph,
-                                       const std::string& src,
-                                       const std::string& dst) {
-  const std::int32_t s = index.id_of(src);
-  std::int32_t cur = index.id_of(dst);
-  if (s == RoutingIndex::kNoNode || cur == RoutingIndex::kNoNode)
-    return std::nullopt;
-  const RoutingIndex::Row& row = index.row_from(s);
-  std::vector<std::string_view> route;  // dst back to src
-  for (; cur != s; cur = row.prev_node[static_cast<std::size_t>(cur)]) {
-    if (cur == RoutingIndex::kNoNode) return std::nullopt;  // unreachable
-    route.push_back(index.name_of(cur));
+bool LogicalTopology::route(const RoutingIndex& index, std::int32_t src,
+                            std::int32_t dst, std::vector<Hop>& hops) const {
+  hops.clear();
+  if (src == RoutingIndex::kNoNode || dst == RoutingIndex::kNoNode)
+    return false;
+  const RoutingIndex::Row& row = index.row_from(src);
+  if (row.prev_node[static_cast<std::size_t>(dst)] == RoutingIndex::kNoNode)
+    return false;  // unreachable
+  // Walk dst back to src.  A hop's direction is set by the node its run
+  // of model links starts from, which the backward walk meets last.
+  for (std::int32_t cur = dst; cur != src;) {
+    const auto c = static_cast<std::size_t>(cur);
+    const auto li = static_cast<std::uint32_t>(row.prev_link[c]);
+    const auto it =
+        std::lower_bound(model_links.begin(), model_links.end(), li);
+    if (it == model_links.end() || *it != li) return false;
+    const std::uint32_t link =
+        logical_of[static_cast<std::size_t>(it - model_links.begin())];
+    cur = row.prev_node[c];
+    const bool forward = cur == link_ends[link][0];
+    if (!hops.empty() && hops.back().link == link)
+      hops.back().forward = forward;
+    else
+      hops.push_back({link, forward});
   }
-  route.push_back(src);
-  std::reverse(route.begin(), route.end());
-  return graph.project(route);
+  std::reverse(hops.begin(), hops.end());
+  return true;
 }
 
-NetworkGraph build_logical_graph(const NetworkModel& model,
-                                 const std::vector<std::string>& nodes,
-                                 const Timeframe& timeframe, Seconds now,
-                                 const Predictor& predictor,
-                                 const LogicalOptions& options) {
+LogicalTopology build_logical_topology(const NetworkModel& model,
+                                       const std::vector<std::int32_t>& nodes,
+                                       const Timeframe& timeframe,
+                                       Seconds now, const Predictor& predictor,
+                                       const LogicalOptions& options) {
   if (nodes.empty())
     throw InvalidArgument("build_logical_graph: empty node set");
-  std::set<std::string> queried;
-  for (const std::string& n : nodes) {
-    model.node(n);  // throws NotFoundError if unknown
-    queried.insert(n);
-  }
+  const RoutingIndex& index = model.routing_index();
+  const std::vector<ModelLink>& links = model.links();
+  constexpr std::int32_t kNoNode = RoutingIndex::kNoNode;
 
   // 1. Relevant subgraph: union of the routes between every *ordered*
   // pair of queried nodes (under ties b->a need not retrace a->b), from
-  // the model's cached RoutingIndex rows.  Each pair walk is O(path
-  // length) and collects the links it crosses, so this step and the
+  // the model's cached RoutingIndex rows.  A row is a tree, so each
+  // source's walks stop at the first node already reached from it: the
+  // walks cost O(kept nodes) per source, and this step and the
   // annotation below cost O(kept links), not O(model).
-  std::set<std::string> keep_nodes;
-  std::vector<std::uint32_t> kept;  // indices into model.links(), all up
+  struct KeptLink {
+    std::uint32_t link;  // into model.links()
+    std::int32_t a, b;   // its ends, in the model link's orientation
+  };
+  std::vector<std::int32_t> kept_nodes;
+  std::vector<KeptLink> kept;
+  std::vector<std::int32_t> slot(index.node_count(), kNoNode);
+  const auto keep_node = [&](std::int32_t v) {
+    std::int32_t& s = slot[static_cast<std::size_t>(v)];
+    if (s != kNoNode) return;
+    s = 0;  // numbered below, once kept_nodes is sorted
+    kept_nodes.push_back(v);
+  };
   if (options.keep_all) {
-    for (const auto& [name, n] : model.nodes()) keep_nodes.insert(name);
-    for (std::size_t li = 0; li < model.links().size(); ++li)
-      if (model.links()[li].up())
-        kept.push_back(static_cast<std::uint32_t>(li));
+    for (std::size_t v = 0; v < index.node_count(); ++v)
+      keep_node(static_cast<std::int32_t>(v));
+    for (std::size_t li = 0; li < links.size(); ++li)
+      if (links[li].up())
+        kept.push_back({static_cast<std::uint32_t>(li),
+                        index.id_of(links[li].a), index.id_of(links[li].b)});
   } else {
-    const RoutingIndex& index = model.routing_index();
-    for (const std::string& a : queried) {
-      keep_nodes.insert(a);
-      const std::int32_t ia = index.id_of(a);
-      const RoutingIndex::Row& row = index.row_from(ia);
-      for (const std::string& b : queried) {
-        if (a == b) continue;
-        const std::int32_t ib = index.id_of(b);
-        if (row.prev_node[static_cast<std::size_t>(ib)] ==
-            RoutingIndex::kNoNode)
+    std::vector<std::int32_t> reached_from(index.node_count(), kNoNode);
+    std::vector<char> taken(links.size(), 0);
+    for (const std::int32_t a : nodes) {
+      keep_node(a);
+      reached_from[static_cast<std::size_t>(a)] = a;
+      const RoutingIndex::Row& row = index.row_from(a);
+      for (const std::int32_t b : nodes) {
+        if (b == a ||
+            row.prev_node[static_cast<std::size_t>(b)] == kNoNode)
           continue;  // unreachable pair
-        // Walk b back to a; every edge on the way is relevant.
-        for (std::int32_t cur = ib; cur != ia;) {
+        for (std::int32_t cur = b;
+             reached_from[static_cast<std::size_t>(cur)] != a;) {
           const auto c = static_cast<std::size_t>(cur);
-          keep_nodes.insert(index.name_of(cur));
-          kept.push_back(static_cast<std::uint32_t>(row.prev_link[c]));
-          cur = row.prev_node[c];
+          reached_from[c] = a;
+          keep_node(cur);
+          const std::int32_t prev = row.prev_node[c];
+          const auto li = static_cast<std::size_t>(row.prev_link[c]);
+          if (!taken[li]) {
+            taken[li] = 1;
+            const bool cur_is_a = links[li].a == index.name_of(cur);
+            kept.push_back({static_cast<std::uint32_t>(li),
+                            cur_is_a ? cur : prev, cur_is_a ? prev : cur});
+          }
+          cur = prev;
         }
       }
     }
     // Model link order, so the graph matches a scan of model.links().
-    std::sort(kept.begin(), kept.end());
-    kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
+    std::sort(kept.begin(), kept.end(),
+              [](const KeptLink& p, const KeptLink& q) {
+                return p.link < q.link;
+              });
   }
-
-  // Annotated working copies of the kept links (mutable for collapsing).
-  struct WorkLink {
-    std::string a, b;
-    Measurement capacity, latency, used_ab, used_ba;
-    std::vector<std::string> abstracts;
-    SharingPolicy sharing = SharingPolicy::kUnknown;
+  std::sort(kept_nodes.begin(), kept_nodes.end());
+  const std::size_t nk = kept_nodes.size();
+  for (std::size_t s = 0; s < nk; ++s)
+    slot[static_cast<std::size_t>(kept_nodes[s])] =
+        static_cast<std::int32_t>(s);
+  const auto slot_of = [&](std::int32_t v) {
+    return static_cast<std::size_t>(slot[static_cast<std::size_t>(v)]);
   };
+  std::vector<char> queried(nk, 0);
+  for (const std::int32_t a : nodes) queried[slot_of(a)] = 1;
+
+  // Each kept node's working links (CSR, by slot).  Collapsing keeps
+  // every degree, so the lists keep their sizes; a merge rewrites one
+  // entry at each far end.
+  std::vector<std::uint32_t> offset(nk + 1, 0);
+  for (const KeptLink& k : kept) {
+    ++offset[slot_of(k.a) + 1];
+    ++offset[slot_of(k.b) + 1];
+  }
+  std::partial_sum(offset.begin(), offset.end(), offset.begin());
+  std::vector<std::uint32_t> incident(offset.back());
+  {
+    std::vector<std::uint32_t> fill(offset.begin(), offset.end() - 1);
+    for (std::uint32_t i = 0; i < kept.size(); ++i) {
+      incident[fill[slot_of(kept[i].a)]++] = i;
+      incident[fill[slot_of(kept[i].b)]++] = i;
+    }
+  }
+  const auto degree = [&](std::size_t s) { return offset[s + 1] - offset[s]; };
+
+  // Annotated working copies of the kept links.  Merged chains are
+  // appended; merged_into is each entry's union-find parent (itself
+  // while the link survives).
   std::vector<WorkLink> work;
-  work.reserve(kept.size());
-  for (const std::uint32_t li : kept) {
-    const ModelLink& l = model.links()[li];
+  work.reserve(2 * kept.size());
+  std::vector<std::uint32_t> merged_into;
+  merged_into.reserve(2 * kept.size());
+  for (const KeptLink& k : kept) {
+    const ModelLink& l = links[k.link];
     WorkLink w;
-    w.a = l.a;
-    w.b = l.b;
+    w.a = k.a;
+    w.b = k.b;
     w.capacity = exactish(l.capacity);
     w.latency = exactish(l.latency);
     w.used_ab = used_for_timeframe(l.history, timeframe, now, true, predictor);
@@ -157,142 +298,114 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
       }
     }
     w.sharing = l.sharing;
+    merged_into.push_back(static_cast<std::uint32_t>(work.size()));
     work.push_back(std::move(w));
   }
 
-  // 2. Chain collapsing.
+  // 2. Chain collapsing, one pass over the eligible routers in id (=
+  // name) order: unqueried, no internal bandwidth (a constraint to
+  // keep), degree 2.  A merge never changes a degree, and a router
+  // skipped because its far ends x, y are already linked sits in the
+  // triangle x, n, y, which no later merge can break -- so this pass
+  // makes the merges a restart-from-the-first-name loop would.
+  std::vector<char> collapsed(nk, 0);
   if (options.collapse_chains) {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      // Degree count over the working link set.
-      std::map<std::string, std::vector<std::size_t>> incident;
-      for (std::size_t i = 0; i < work.size(); ++i) {
-        incident[work[i].a].push_back(i);
-        incident[work[i].b].push_back(i);
-      }
-      for (const auto& [name, links] : incident) {
-        if (queried.contains(name)) continue;
-        if (!model.node(name).is_router()) continue;
-        if (model.node(name).internal_bw > 0) continue;  // constraint: keep
-        if (links.size() != 2) continue;
-        WorkLink& l1 = work[links[0]];
-        WorkLink& l2 = work[links[1]];
-        const std::string x = l1.a == name ? l1.b : l1.a;
-        const std::string y = l2.a == name ? l2.b : l2.a;
-        if (x == y) continue;  // parallel chain; leave alone
-        // Direction bookkeeping: usage seen traveling x -> name -> y.
-        auto used_towards = [&](const WorkLink& l, const std::string& to) {
-          return l.b == to ? l.used_ab : l.used_ba;
-        };
-        auto avail = [](const Measurement& cap, const Measurement& used) {
-          GraphLink tmp;
-          tmp.capacity = cap;
-          tmp.used_ab = used;
-          return tmp.available_ab();
-        };
-        WorkLink merged;
-        merged.a = x;
-        merged.b = y;
-        const double cap = std::min(l1.capacity.mean, l2.capacity.mean);
-        merged.capacity = exactish(cap);
-        merged.latency = exactish(l1.latency.mean + l2.latency.mean);
-        // Logical usage: whatever leaves the *least* availability along
-        // the chain, per direction, element-wise on quartiles.
-        auto merge_used = [&](const std::string& from, const std::string& to) {
-          const Measurement a1 = avail(l1.capacity,
-                                       used_towards(l1, from == x ? name : x));
-          const Measurement a2 = avail(l2.capacity,
-                                       used_towards(l2, from == x ? y : name));
-          (void)to;
-          if (!l1.used_ab.known() && !l2.used_ab.known() &&
-              !l1.used_ba.known() && !l2.used_ba.known())
-            return Measurement{};
-          Measurement out;
-          auto lo = [](double p, double q) { return std::min(p, q); };
-          // available = min(a1, a2); used = cap - available (per quartile).
-          out.quartiles.min = cap - lo(a1.quartiles.max, a2.quartiles.max);
-          out.quartiles.q1 = cap - lo(a1.quartiles.q3, a2.quartiles.q3);
-          out.quartiles.median =
-              cap - lo(a1.quartiles.median, a2.quartiles.median);
-          out.quartiles.q3 = cap - lo(a1.quartiles.q1, a2.quartiles.q1);
-          out.quartiles.max = cap - lo(a1.quartiles.min, a2.quartiles.min);
-          out.mean = cap - lo(a1.mean, a2.mean);
-          out.samples = std::min(a1.samples, a2.samples);
-          out.accuracy = std::min(a1.accuracy, a2.accuracy);
-          for (double* q : {&out.quartiles.min, &out.quartiles.q1,
-                            &out.quartiles.median, &out.quartiles.q3,
-                            &out.quartiles.max, &out.mean})
-            *q = std::max(0.0, *q);
-          return out;
-        };
-        merged.used_ab = merge_used(x, y);
-        merged.used_ba = merge_used(y, x);
-        // A chain of uniform policy keeps it; a mixed chain is opaque.
-        merged.sharing = l1.sharing == l2.sharing ? l1.sharing
-                                                  : SharingPolicy::kUnknown;
-        merged.abstracts = l1.abstracts;
-        merged.abstracts.push_back(name);
-        merged.abstracts.insert(merged.abstracts.end(), l2.abstracts.begin(),
-                                l2.abstracts.end());
-        std::sort(merged.abstracts.begin(), merged.abstracts.end());
-
-        // A parallel link x--y may already exist; if so, keep both as
-        // physical (no multigraph support) and skip this node.
-        bool parallel = false;
-        for (std::size_t i = 0; i < work.size(); ++i) {
-          if (i == links[0] || i == links[1]) continue;
-          if ((work[i].a == x && work[i].b == y) ||
-              (work[i].a == y && work[i].b == x))
-            parallel = true;
-        }
-        if (parallel) continue;
-
-        const std::size_t i1 = std::max(links[0], links[1]);
-        const std::size_t i2 = std::min(links[0], links[1]);
-        work.erase(work.begin() + static_cast<long>(i1));
-        work.erase(work.begin() + static_cast<long>(i2));
-        work.push_back(std::move(merged));
-        keep_nodes.erase(name);
-        changed = true;
-        break;  // restart: indices invalidated
-      }
+    for (std::size_t s = 0; s < nk; ++s) {
+      const std::int32_t n = kept_nodes[s];
+      if (queried[s] || degree(s) != 2 || !index.is_router(n) ||
+          model.node(index.name_of(n)).internal_bw > 0)
+        continue;
+      const std::uint32_t* pair = &incident[offset[s]];
+      const std::uint32_t i1 = std::min(pair[0], pair[1]);
+      const std::uint32_t i2 = std::max(pair[0], pair[1]);
+      const std::int32_t x = work[i1].other(n);
+      const std::int32_t y = work[i2].other(n);
+      // A link x--y already exists: keep both as physical (no
+      // multigraph support) and skip this node.
+      const std::size_t sx = slot_of(x), sy = slot_of(y);
+      const auto first = incident.begin() + offset[sx];
+      const auto last = incident.begin() + offset[sx + 1];
+      if (std::any_of(first, last,
+                      [&](std::uint32_t j) { return work[j].other(x) == y; }))
+        continue;
+      const auto merged = static_cast<std::uint32_t>(work.size());
+      work.push_back(merge(work[i1], work[i2], n, x, y));
+      merged_into[i1] = merged_into[i2] = merged;
+      merged_into.push_back(merged);
+      *std::find(first, last, i1) = merged;
+      *std::find(incident.begin() + offset[sy],
+                 incident.begin() + offset[sy + 1], i2) = merged;
+      collapsed[s] = 1;
     }
   }
 
-  // 3. Assemble the value graph.
-  NetworkGraph graph;
-  std::set<std::string> still_used;
-  for (const WorkLink& w : work) {
-    still_used.insert(w.a);
-    still_used.insert(w.b);
-  }
-  for (const std::string& name : keep_nodes) {
-    if (!still_used.contains(name) && !queried.contains(name))
-      continue;  // dangling interior node after collapsing
-    const ModelNode& mn = model.node(name);
+  // 3. Assemble the value graph, attaching names.  A node survives
+  // unless collapsed, or unqueried with no link (keep_all's isolated
+  // nodes).
+  LogicalTopology out;
+  for (std::size_t s = 0; s < nk; ++s) {
+    if (collapsed[s] || (degree(s) == 0 && !queried[s])) continue;
+    const std::int32_t id = kept_nodes[s];
+    const ModelNode& mn = model.node(index.name_of(id));
     GraphNode gn;
-    gn.name = name;
+    gn.name = mn.name;
     gn.is_compute = !mn.is_router();
     if (mn.internal_bw > 0) gn.internal_bw = exactish(mn.internal_bw);
     gn.has_host_info = mn.has_host_info;
     gn.cpu_load = mn.cpu_load;
     gn.memory_mb = mn.memory_mb;
-    graph.add_node(std::move(gn));
+    LogicalAssembly::add_node(out.graph, std::move(gn));
+    out.node_ids.push_back(id);
   }
-  for (WorkLink& w : work) {
+  // Surviving links in working order: model links in model order, then
+  // merged chains in the order they were made.
+  std::vector<std::uint32_t> logical(work.size());
+  for (std::uint32_t i = 0; i < work.size(); ++i) {
+    if (merged_into[i] != i) continue;
+    WorkLink& w = work[i];
+    logical[i] = static_cast<std::uint32_t>(out.link_ends.size());
+    out.link_ends.push_back({w.a, w.b});
     GraphLink gl;
-    gl.a = std::move(w.a);
-    gl.b = std::move(w.b);
+    gl.a = index.name_of(w.a);
+    gl.b = index.name_of(w.b);
     gl.capacity = w.capacity;
     gl.latency = w.latency;
     gl.used_ab = w.used_ab;
     gl.used_ba = w.used_ba;
-    gl.abstracts = std::move(w.abstracts);
+    gl.abstracts.reserve(w.abstracts.size());
+    for (const std::int32_t h : w.abstracts)
+      gl.abstracts.push_back(index.name_of(h));
     gl.sharing = w.sharing;
-    graph.add_link(std::move(gl));
+    LogicalAssembly::add_link(out.graph, std::move(gl));
   }
-  return graph;
+  // A merge's parent comes after it, so one backward sweep resolves
+  // every kept model link to the logical link it ended up in.
+  for (std::size_t i = work.size(); i-- > 0;)
+    if (merged_into[i] != i) logical[i] = logical[merged_into[i]];
+  out.model_links.reserve(kept.size());
+  for (const KeptLink& k : kept) out.model_links.push_back(k.link);
+  logical.resize(kept.size());
+  out.logical_of = std::move(logical);
+  return out;
+}
+
+NetworkGraph build_logical_graph(const NetworkModel& model,
+                                 const std::vector<std::string>& nodes,
+                                 const Timeframe& timeframe, Seconds now,
+                                 const Predictor& predictor,
+                                 const LogicalOptions& options) {
+  const RoutingIndex& index = model.routing_index();
+  std::vector<std::int32_t> ids;
+  ids.reserve(nodes.size());
+  for (const std::string& n : nodes) {
+    const std::int32_t id = index.id_of(n);
+    if (id == RoutingIndex::kNoNode) model.node(n);  // throws NotFoundError
+    ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return build_logical_topology(model, ids, timeframe, now, predictor, options)
+      .graph;
 }
 
 }  // namespace remos::core

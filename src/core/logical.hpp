@@ -14,9 +14,16 @@
 //      worst-case usage), recording the hidden equipment in
 //      GraphLink::abstracts -- the paper's complex-network-as-one-link
 //      abstraction.
+//
+// The build runs on the model's RoutingIndex ids and attaches names only
+// when it assembles the graph.  Chains collapse in one pass over the
+// eligible routers in id (= name) order; it returns the graph together
+// with the link table that pass produced, so flows route through the
+// graph without looking names up (LogicalTopology::route).
 #pragma once
 
-#include <optional>
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -42,6 +49,50 @@ struct LogicalOptions {
   Seconds accuracy_halflife = 30.0;
 };
 
+/// A logical graph and the link table its build produced.  Ids are the
+/// RoutingIndex ids of the model the graph was built from.
+struct LogicalTopology {
+  /// One hop of a route through the graph: a logical link and whether
+  /// the route crosses it from its `a` end.
+  struct Hop {
+    std::uint32_t link;  // index into graph.links()
+    bool forward;
+  };
+
+  NetworkGraph graph;
+  /// The id of each graph node, in graph.nodes() order (ascending).
+  std::vector<std::int32_t> node_ids;
+  /// The ids of each graph link's `a` and `b` ends.
+  std::vector<std::array<std::int32_t, 2>> link_ends;
+  /// The model links the build kept, ascending, and the graph link each
+  /// ended up in (itself, or the chain it was collapsed into).
+  std::vector<std::uint32_t> model_links;
+  std::vector<std::uint32_t> logical_of;
+
+  /// The route src -> dst through the graph: the model's route (a walk
+  /// of index.row_from(src)), each run of model links inside one logical
+  /// link taken as one hop.  `index` must be the routing index of the
+  /// model the graph was built from.  Replaces `hops`; false if an
+  /// endpoint is unknown (kNoNode), dst is unreachable or the route
+  /// leaves the graph.
+  bool route(const collector::RoutingIndex& index, std::int32_t src,
+             std::int32_t dst, std::vector<Hop>& hops) const;
+
+  /// The node a hop arrives at.
+  std::int32_t far_end(const Hop& hop) const {
+    return link_ends[hop.link][hop.forward ? 1 : 0];
+  }
+};
+
+/// Builds the annotated logical graph for the queried `nodes` (ids in
+/// model.routing_index(), ascending, no repeats, none kNoNode) at `now`.
+/// Throws InvalidArgument if `nodes` is empty.
+LogicalTopology build_logical_topology(const collector::NetworkModel& model,
+                                       const std::vector<std::int32_t>& nodes,
+                                       const Timeframe& timeframe,
+                                       Seconds now, const Predictor& predictor,
+                                       const LogicalOptions& options);
+
 /// Builds the annotated logical graph for `nodes` at `now`.
 /// Throws NotFoundError if a queried node is unknown to the model.
 NetworkGraph build_logical_graph(const collector::NetworkModel& model,
@@ -49,15 +100,6 @@ NetworkGraph build_logical_graph(const collector::NetworkModel& model,
                                  const Timeframe& timeframe, Seconds now,
                                  const Predictor& predictor,
                                  const LogicalOptions& options);
-
-/// The path a flow from `src` to `dst` takes through `graph`, built by
-/// build_logical_graph from the model `index` belongs to: the model's
-/// route -- the simulator's, by RouteKernel's rule -- projected onto the
-/// graph.  nullopt if an endpoint is unknown or unreachable.
-std::optional<GraphPath> logical_route(const collector::RoutingIndex& index,
-                                       const NetworkGraph& graph,
-                                       const std::string& src,
-                                       const std::string& dst);
 
 /// Annotation helper shared with the flow solver: the "used bandwidth"
 /// Measurement of one link direction for a timeframe.

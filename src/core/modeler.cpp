@@ -81,14 +81,16 @@ GraphResult Modeler::get_graph_result(const std::vector<std::string>& nodes,
   }
   queries_answered_.fetch_add(1, std::memory_order_relaxed);
   const collector::NetworkModel& m = model();
+  const collector::RoutingIndex& index = m.routing_index();
 
   // Partition the queried names so one typo degrades the answer instead
   // of aborting it.
-  std::vector<std::string> known;
+  std::vector<std::int32_t> known;
   known.reserve(nodes.size());
   for (const std::string& n : nodes) {
-    if (m.has_node(n))
-      known.push_back(n);
+    const std::int32_t id = index.id_of(n);
+    if (id != collector::RoutingIndex::kNoNode)
+      known.push_back(id);
     else
       out.unknown_nodes.push_back(n);
   }
@@ -96,12 +98,15 @@ GraphResult Modeler::get_graph_result(const std::vector<std::string>& nodes,
     out.status = obs::GraphStatus::kUnresolved;
     return out;
   }
+  std::sort(known.begin(), known.end());
+  known.erase(std::unique(known.begin(), known.end()), known.end());
 
   {
     obs::TraceBuilder::Scoped span(trace_, "logical_build");
     try {
-      out.graph = build_logical_graph(m, known, timeframe, now(m),
-                                      *predictor_, options);
+      out.graph = build_logical_topology(m, known, timeframe, now(m),
+                                         *predictor_, options)
+                      .graph;
     } catch (const std::exception& e) {
       out.status = obs::GraphStatus::kInvalid;
       out.error = e.what();
@@ -151,9 +156,19 @@ double used_at(const Measurement& used, std::size_t scenario) {
   }
 }
 
-/// Validates the flow structure and collects the endpoint set (the
-/// InvalidArgument throws here are flow_info's documented contract).
-std::set<std::string> flow_query_endpoints(const FlowQuery& query) {
+/// A flow query's endpoints as RoutingIndex ids, each name resolved
+/// once: kNoNode where the model does not know it.
+struct FlowEndpoints {
+  std::vector<std::array<std::int32_t, 2>> flows;  // fixed, variable,
+                                                   // independent
+  std::vector<std::vector<std::int32_t>> multicast;  // src, then dsts
+  std::vector<std::int32_t> known;  // ascending, no repeats
+};
+
+/// Validates the flow structure (the InvalidArgument throws here are
+/// flow_info's documented contract) and resolves every endpoint.
+FlowEndpoints resolve_endpoints(const FlowQuery& query,
+                                const collector::RoutingIndex& index) {
   std::vector<const FlowRequest*> all;
   for (const FlowRequest& f : query.fixed) all.push_back(&f);
   for (const FlowRequest& f : query.variable) all.push_back(&f);
@@ -161,78 +176,48 @@ std::set<std::string> flow_query_endpoints(const FlowQuery& query) {
   if (all.empty() && query.multicast.empty())
     throw InvalidArgument("flow_info: no flows in query");
 
-  std::set<std::string> endpoint_set;
+  FlowEndpoints out;
   for (const FlowRequest* f : all) {
     if (f->src == f->dst)
       throw InvalidArgument("flow_info: src == dst for " + f->src);
-    endpoint_set.insert(f->src);
-    endpoint_set.insert(f->dst);
+    out.flows.push_back({index.id_of(f->src), index.id_of(f->dst)});
   }
   for (const MulticastRequest& m : query.multicast) {
     if (m.dsts.empty())
       throw InvalidArgument("flow_info: multicast without receivers");
-    endpoint_set.insert(m.src);
+    std::vector<std::int32_t>& ids = out.multicast.emplace_back();
+    ids.push_back(index.id_of(m.src));
     for (const std::string& d : m.dsts) {
       if (d == m.src)
         throw InvalidArgument("flow_info: multicast src == dst for " +
                               m.src);
-      endpoint_set.insert(d);
+      ids.push_back(index.id_of(d));
     }
   }
-  return endpoint_set;
-}
-
-/// Fingerprint of what determines a flow query's logical graph: the
-/// timeframe and the known endpoint set (already sorted by std::set).
-/// Independent-mode batch sub-queries with equal keys share one build.
-std::string graph_group_key(const Timeframe& tf,
-                            const std::set<std::string>& known) {
-  std::string key = std::to_string(static_cast<int>(tf.kind)) + ':' +
-                    std::to_string(tf.window) + ':' +
-                    std::to_string(tf.horizon);
-  for (const std::string& e : known) {
-    key += '\x1f';
-    key += e;
+  for (const auto& [src, dst] : out.flows) {
+    out.known.push_back(src);
+    out.known.push_back(dst);
   }
-  return key;
+  for (const std::vector<std::int32_t>& ids : out.multicast)
+    out.known.insert(out.known.end(), ids.begin(), ids.end());
+  std::erase(out.known, collector::RoutingIndex::kNoNode);
+  std::sort(out.known.begin(), out.known.end());
+  out.known.erase(std::unique(out.known.begin(), out.known.end()),
+                  out.known.end());
+  return out;
 }
 
-}  // namespace
-
-NetworkGraph Modeler::build_flow_graph(const collector::NetworkModel& m,
-                                       const std::set<std::string>& known,
-                                       const Timeframe& timeframe) const {
-  // The embedded topology lookup counts as a graph query of its own.
-  queries_answered_.fetch_add(1, std::memory_order_relaxed);
-  obs::TraceBuilder::Scoped span(trace_, "logical_build");
-  NetworkGraph graph;
-  const std::vector<std::string> endpoints(known.begin(), known.end());
-  if (!endpoints.empty())
-    graph = build_logical_graph(m, endpoints, timeframe, now(m),
-                                *predictor_, LogicalOptions{});
-  return graph;
-}
-
-FlowQueryResult Modeler::flow_info(const FlowQuery& query) const {
-  query.timeframe.validate();
-  queries_answered_.fetch_add(1, std::memory_order_relaxed);
-  if (obs_) obs_->flow_queries.inc();
-  // Endpoint set -> logical graph for the query's timeframe.  Endpoints
-  // the model does not know make their flows structured routable=false
-  // results instead of a NotFoundError escaping the query API
-  // mid-session; the logical graph is built over the known names.
-  const std::set<std::string> endpoint_set = flow_query_endpoints(query);
-  const collector::NetworkModel& m = model();
-  std::set<std::string> known;
-  for (const std::string& e : endpoint_set)
-    if (m.has_node(e)) known.insert(e);
-  const NetworkGraph graph = build_flow_graph(m, known, query.timeframe);
-  return solve_on_graph(query, m, graph);
-}
-
-FlowQueryResult Modeler::solve_on_graph(
-    const FlowQuery& query, const collector::NetworkModel& m,
-    const NetworkGraph& graph) const {
+/// Routes and solves `query` against a pre-built logical topology --
+/// everything flow_info does after the graph build.  Each flow takes its
+/// route from the model's routing index, through the topology's link
+/// table; `topo` must have been built from the model `routing` indexes.
+FlowQueryResult solve_on_graph(const FlowQuery& query,
+                               const FlowEndpoints& ends,
+                               const collector::RoutingIndex& routing,
+                               const LogicalTopology& topo,
+                               const ModelerObs* metrics,
+                               obs::TraceBuilder* trace) {
+  const NetworkGraph& graph = topo.graph;
   std::vector<const FlowRequest*> all;
   for (const FlowRequest& f : query.fixed) all.push_back(&f);
   for (const FlowRequest& f : query.variable) all.push_back(&f);
@@ -250,50 +235,54 @@ FlowQueryResult Modeler::solve_on_graph(
     dir_used[2 * i] = &l.used_ab;
     dir_used[2 * i + 1] = &l.used_ba;
   }
-  std::vector<std::string> constrained_nodes;
+  std::vector<std::int32_t> constrained_nodes;  // ids, ascending
   std::vector<double> node_capacity;
-  for (const auto& [name, n] : graph.nodes()) {
-    if (n.internal_bw.known()) {
-      constrained_nodes.push_back(name);
-      node_capacity.push_back(n.internal_bw.mean);
+  {
+    auto id = topo.node_ids.begin();
+    for (const auto& [name, n] : graph.nodes()) {
+      if (n.internal_bw.known()) {
+        constrained_nodes.push_back(*id);
+        node_capacity.push_back(n.internal_bw.mean);
+      }
+      ++id;
     }
   }
 
   // Route every flow once, on the model: its route there (the route the
-  // simulator forwards it on) projected onto the logical graph.
+  // simulator forwards it on) through the topology's link table.
   const std::size_t route_span =
-      trace_ ? trace_->open("route_resolution") : 0;
-  const collector::RoutingIndex& routing = m.routing_index();
-  // constrained_nodes is in name order (graph.nodes() is a map).
+      trace ? trace->open("route_resolution") : 0;
   const auto node_resource =
-      [&](const std::string& name) -> std::optional<std::size_t> {
+      [&](std::int32_t id) -> std::optional<std::size_t> {
     const auto it = std::lower_bound(constrained_nodes.begin(),
-                                     constrained_nodes.end(), name);
-    if (it == constrained_nodes.end() || *it != name) return std::nullopt;
+                                     constrained_nodes.end(), id);
+    if (it == constrained_nodes.end() || *it != id) return std::nullopt;
     return 2 * nl + static_cast<std::size_t>(it - constrained_nodes.begin());
   };
+  std::vector<LogicalTopology::Hop> hops;
   std::vector<RoutedFlow> routed(all.size());
   for (std::size_t i = 0; i < all.size(); ++i) {
     RoutedFlow& rf = routed[i];
     rf.request = all[i];
-    const auto path = logical_route(routing, graph, all[i]->src, all[i]->dst);
-    if (!path) continue;  // unknown endpoint or no route: unroutable
+    const auto [src, dst] = ends.flows[i];
+    if (!topo.route(routing, src, dst, hops))
+      continue;  // unknown endpoint or no route: unroutable
     rf.routable = true;
-    for (std::size_t k = 0; k < path->link_indices.size(); ++k) {
-      const std::size_t li = path->link_indices[k];
-      const GraphLink& l = graph.links()[li];
-      const bool forward = path->nodes[k] == l.a;
-      rf.resources.push_back(2 * li + (forward ? 0 : 1));
+    for (const LogicalTopology::Hop& hop : hops) {
+      const GraphLink& l = graph.links()[hop.link];
+      rf.resources.push_back(2 * std::size_t{hop.link} + (hop.forward ? 0 : 1));
       rf.latency += l.latency.quartiles.median;
-      const Measurement& used = forward ? l.used_ab : l.used_ba;
+      const Measurement& used = hop.forward ? l.used_ab : l.used_ba;
       if (used.known()) {
         rf.min_samples = std::min(rf.min_samples, used.samples);
         rf.min_accuracy = std::min(rf.min_accuracy, used.accuracy);
       }
       rf.min_accuracy = std::min(rf.min_accuracy, l.capacity.accuracy);
     }
-    for (const std::string& name : path->nodes)
-      if (const auto r = node_resource(name)) rf.resources.push_back(*r);
+    if (const auto r = node_resource(src)) rf.resources.push_back(*r);
+    for (const LogicalTopology::Hop& hop : hops)
+      if (const auto r = node_resource(topo.far_end(hop)))
+        rf.resources.push_back(*r);
   }
 
   // Route the multicast trees: the resource set is the union over the
@@ -307,37 +296,37 @@ FlowQueryResult Modeler::solve_on_graph(
   };
   std::vector<RoutedMulticast> routed_mc(query.multicast.size());
   for (std::size_t i = 0; i < query.multicast.size(); ++i) {
-    const MulticastRequest& mc = query.multicast[i];
     RoutedMulticast& rm = routed_mc[i];
     std::set<std::size_t> union_resources;
-    for (const std::string& dst : mc.dsts) {
-      const auto path = logical_route(routing, graph, mc.src, dst);
-      if (!path) {
+    const std::int32_t src = ends.multicast[i].front();
+    for (std::size_t d = 1; d < ends.multicast[i].size(); ++d) {
+      if (!topo.route(routing, src, ends.multicast[i][d], hops)) {
         rm.routable = false;
         break;
       }
       Seconds leaf_latency = 0;
-      for (std::size_t k = 0; k < path->link_indices.size(); ++k) {
-        const std::size_t li = path->link_indices[k];
-        const GraphLink& l = graph.links()[li];
-        const bool forward = path->nodes[k] == l.a;
-        union_resources.insert(2 * li + (forward ? 0 : 1));
+      for (const LogicalTopology::Hop& hop : hops) {
+        const GraphLink& l = graph.links()[hop.link];
+        union_resources.insert(2 * std::size_t{hop.link} +
+                               (hop.forward ? 0 : 1));
         leaf_latency += l.latency.quartiles.median;
-        const Measurement& used = forward ? l.used_ab : l.used_ba;
+        const Measurement& used = hop.forward ? l.used_ab : l.used_ba;
         if (used.known())
           rm.min_accuracy = std::min(rm.min_accuracy, used.accuracy);
       }
       rm.latency = std::max(rm.latency, leaf_latency);
-      for (const std::string& name : path->nodes)
-        if (const auto r = node_resource(name)) union_resources.insert(*r);
+      if (const auto r = node_resource(src)) union_resources.insert(*r);
+      for (const LogicalTopology::Hop& hop : hops)
+        if (const auto r = node_resource(topo.far_end(hop)))
+          union_resources.insert(*r);
     }
     rm.resources.assign(union_resources.begin(), union_resources.end());
   }
-  if (trace_) trace_->close(route_span);
+  if (trace) trace->close(route_span);
 
   // Evaluate the staged allocation under each background scenario.
   const std::size_t solve_span =
-      trace_ ? trace_->open("maxmin_solve") : 0;
+      trace ? trace->open("maxmin_solve") : 0;
   const auto solve_t0 = std::chrono::steady_clock::now();
   constexpr std::size_t kScenarios = 5;
   std::vector<std::array<double, kScenarios>> grants(
@@ -422,22 +411,22 @@ FlowQueryResult Modeler::solve_on_graph(
     }
   }
 
-  if (obs_)
-    obs_->solve_duration.observe(
+  if (metrics)
+    metrics->solve_duration.observe(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       solve_t0)
             .count());
-  if (trace_) trace_->close(solve_span);
+  if (trace) trace->close(solve_span);
 
   // Assemble results: quartiles across scenarios (scenario 0 = least
   // background usage = highest grant, so reverse into ascending order).
-  obs::TraceBuilder::Scoped assemble_span(trace_, "assemble");
+  obs::TraceBuilder::Scoped assemble_span(trace, "assemble");
   auto to_result = [&](std::size_t i) {
     FlowResult out;
     out.request = *all[i];
     out.routable = routed[i].routable;
     if (!routed[i].routable) {
-      if (obs_) obs_->unroutable_flows.inc();
+      if (metrics) metrics->unroutable_flows.inc();
       return out;
     }
     std::vector<double> g(grants[i].begin(), grants[i].end());
@@ -459,7 +448,7 @@ FlowQueryResult Modeler::solve_on_graph(
     MulticastResult out;
     out.request = query.multicast[i];
     out.routable = routed_mc[i].routable;
-    if (!out.routable && obs_) obs_->unroutable_flows.inc();
+    if (!out.routable && metrics) metrics->unroutable_flows.inc();
     if (out.routable) {
       std::vector<double> g(mc_grants[i].begin(), mc_grants[i].end());
       out.bandwidth = Measurement::from_samples(g);
@@ -473,6 +462,37 @@ FlowQueryResult Modeler::solve_on_graph(
     result.variable.push_back(to_result(query.fixed.size() + i));
   if (query.independent) result.independent = to_result(all.size() - 1);
   return result;
+}
+
+}  // namespace
+
+LogicalTopology Modeler::build_flow_graph(
+    const collector::NetworkModel& m, const std::vector<std::int32_t>& known,
+    const Timeframe& timeframe) const {
+  // The embedded topology lookup counts as a graph query of its own.
+  queries_answered_.fetch_add(1, std::memory_order_relaxed);
+  obs::TraceBuilder::Scoped span(trace_, "logical_build");
+  LogicalTopology topo;
+  if (!known.empty())
+    topo = build_logical_topology(m, known, timeframe, now(m), *predictor_,
+                                  LogicalOptions{});
+  return topo;
+}
+
+FlowQueryResult Modeler::flow_info(const FlowQuery& query) const {
+  query.timeframe.validate();
+  queries_answered_.fetch_add(1, std::memory_order_relaxed);
+  if (obs_) obs_->flow_queries.inc();
+  // Endpoints -> logical graph for the query's timeframe.  Endpoints the
+  // model does not know make their flows structured routable=false
+  // results instead of a NotFoundError escaping the query API
+  // mid-session; the logical graph is built over the known ones.
+  const collector::NetworkModel& m = model();
+  const collector::RoutingIndex& routing = m.routing_index();
+  const FlowEndpoints ends = resolve_endpoints(query, routing);
+  const LogicalTopology topo =
+      build_flow_graph(m, ends.known, query.timeframe);
+  return solve_on_graph(query, ends, routing, topo, obs_, trace_);
 }
 
 FlowBatchResult Modeler::flow_info_batch(const FlowBatchQuery& batch) const {
@@ -545,28 +565,32 @@ FlowBatchResult Modeler::flow_info_batch(const FlowBatchQuery& batch) const {
   // (endpoint set, timeframe) share one logical-graph build -- the
   // graphs are pure functions of that key, so sharing is bit-for-bit
   // invisible in the results.
-  struct Group {
-    NetworkGraph graph;
-    bool built = false;
+  struct GroupKey {
+    Timeframe::Kind kind;
+    Seconds window, horizon;
+    std::vector<std::int32_t> known;
+    auto operator<=>(const GroupKey&) const = default;
   };
-  std::map<std::string, Group> groups;
+  std::map<GroupKey, LogicalTopology> groups;
   const collector::NetworkModel& m = model();
+  const collector::RoutingIndex& routing = m.routing_index();
   for (std::size_t i = 0; i < batch.queries.size(); ++i) {
     const FlowQuery& q = batch.queries[i];
     try {
       q.timeframe.validate();
       queries_answered_.fetch_add(1, std::memory_order_relaxed);
       if (obs_) obs_->flow_queries.inc();
-      const std::set<std::string> endpoint_set = flow_query_endpoints(q);
-      std::set<std::string> known;
-      for (const std::string& e : endpoint_set)
-        if (m.has_node(e)) known.insert(e);
-      Group& g = groups[graph_group_key(q.timeframe, known)];
-      if (!g.built) {
-        g.graph = build_flow_graph(m, known, q.timeframe);
-        g.built = true;
-      }
-      out.results[i] = solve_on_graph(q, m, g.graph);
+      const FlowEndpoints ends = resolve_endpoints(q, routing);
+      GroupKey key{q.timeframe.kind, q.timeframe.window, q.timeframe.horizon,
+                   ends.known};
+      auto g = groups.find(key);
+      if (g == groups.end())
+        g = groups
+                .emplace(std::move(key),
+                         build_flow_graph(m, ends.known, q.timeframe))
+                .first;
+      out.results[i] =
+          solve_on_graph(q, ends, routing, g->second, obs_, trace_);
     } catch (const std::exception& e) {
       out.errors[i] = e.what();
     }

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <set>
 
 #include "collector/collector.hpp"
 #include "collector/collector_set.hpp"
@@ -153,18 +152,12 @@ class Modeler {
  private:
   const collector::NetworkModel& model() const;
   Seconds now(const collector::NetworkModel& m) const;
-  /// Logical graph over the known flow endpoints, exactly as a lone
-  /// flow_info builds it (empty endpoint set -> empty graph).
-  NetworkGraph build_flow_graph(const collector::NetworkModel& m,
-                                const std::set<std::string>& known,
-                                const Timeframe& timeframe) const;
-  /// Routes and solves `query` against a pre-built logical graph --
-  /// everything flow_info does after the graph build.  Each flow takes
-  /// its route from `m`'s routing index, projected onto `graph`
-  /// (logical_route); `graph` must have been built from `m`.
-  FlowQueryResult solve_on_graph(const FlowQuery& query,
-                                 const collector::NetworkModel& m,
-                                 const NetworkGraph& graph) const;
+  /// Logical topology over the known flow endpoints (RoutingIndex ids,
+  /// ascending), exactly as a lone flow_info builds it (no endpoints ->
+  /// empty graph).
+  LogicalTopology build_flow_graph(const collector::NetworkModel& m,
+                                   const std::vector<std::int32_t>& known,
+                                   const Timeframe& timeframe) const;
 
   const collector::Collector* single_ = nullptr;
   const collector::CollectorSet* set_ = nullptr;

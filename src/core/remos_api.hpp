@@ -18,7 +18,6 @@
 //   facade call                          forwards to                 notes
 //   ---------------------------------    -------------------------   -----
 //   remos_get_graph(s, nodes, tf)        Modeler::get_graph_result   structured; never throws for bad input
-//   remos_get_graph(s, nodes, g&, tf)    Modeler::get_graph          LEGACY output-parameter form; throws; [[deprecated]]
 //   remos_flow_info(s, query)            Modeler::flow_info          full FlowQuery (fixed + multicast + variable + independent)
 //   remos_flow_info(s, fx, var, ind, tf) Modeler::flow_info          assembles the FlowQuery; the paper's exact signature
 //   remos_flow_info(s, fx, var, ind,     Modeler::flow_info          as above, carrying the paper's multicast flow class
@@ -45,19 +44,6 @@ namespace remos {
 core::GraphResult remos_get_graph(const core::Modeler& session,
                                   const std::vector<std::string>& nodes,
                                   const core::Timeframe& timeframe);
-
-/// Legacy output-parameter form (the paper's exact shape).  Throws
-/// NotFoundError when a node is unknown and InvalidArgument on a
-/// malformed timeframe -- an exception path the structured overload
-/// replaced; migrate to `remos_get_graph(session, nodes, timeframe)`
-/// and branch on GraphResult::status instead.
-[[deprecated(
-    "use the structured GraphResult overload: "
-    "remos_get_graph(session, nodes, timeframe)")]]
-void remos_get_graph(const core::Modeler& session,
-                     const std::vector<std::string>& nodes,
-                     core::NetworkGraph& graph,
-                     const core::Timeframe& timeframe);
 
 /// Full-query form: resolves an already-assembled FlowQuery (fixed,
 /// variable, independent and multicast classes) against the session.

@@ -24,8 +24,9 @@
 // Appends are O(1) amortized (one open-bucket push; a seal + cascade
 // every `width / sample_period` appends) and allocation-bounded: the
 // open bucket's scratch buffer is compacted into a partial summary when
-// it reaches kOpenBucketScratch values, and every sealed ring has fixed
-// capacity.
+// it reaches kOpenBucketScratch values, and every sealed ring grows
+// with the buckets it seals, never past its fixed capacity -- a fresh
+// cascade holds no bucket storage at all.
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,13 @@
 // Fixed-capacity ring buffer for measurement histories.
 //
 // Collectors retain a bounded window of samples per link; old samples are
-// evicted in FIFO order.  Iteration order is oldest-to-newest.
+// evicted in FIFO order.  Iteration order is oldest-to-newest.  Storage
+// grows geometrically as elements arrive, never past the capacity, so a
+// model of thousands of links pays for the samples it holds, not for
+// every ring's full capacity up front.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -16,11 +20,12 @@ class RingBuffer {
  public:
   explicit RingBuffer(std::size_t capacity) : capacity_(capacity) {
     if (capacity == 0) throw InvalidArgument("RingBuffer: zero capacity");
-    items_.reserve(capacity);
   }
 
   void push(T value) {
     if (items_.size() < capacity_) {
+      if (items_.size() == items_.capacity())
+        items_.reserve(std::min(capacity_, 2 * items_.size() + 1));
       items_.push_back(std::move(value));
     } else {
       items_[head_] = std::move(value);

@@ -176,22 +176,6 @@ TEST(NetworkGraph, RoutesFollowEdits) {
   EXPECT_EQ(before.path_to("b")->nodes, (std::vector<std::string>{"a", "b"}));
 }
 
-TEST(NetworkGraph, ProjectKeepsGraphNodesAndTheirLinks) {
-  NetworkGraph g = chain_or_detour(2);
-  const auto hidden = g.project({"a", "x0", "x1", "b"});
-  ASSERT_TRUE(hidden.has_value());
-  EXPECT_EQ(hidden->nodes, (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(hidden->link_indices, (std::vector<std::size_t>{0}));
-  const auto detour = g.project({"a", "r", "b"});
-  ASSERT_TRUE(detour.has_value());
-  EXPECT_EQ(detour->link_indices, (std::vector<std::size_t>{1, 2}));
-  // Routes that leave the graph or skip a link do not project.
-  EXPECT_FALSE(g.project({"x0", "a", "b"}).has_value());
-  EXPECT_FALSE(g.project({"r", "a", "x0"}).has_value());
-  g.add_node(router("q"));
-  EXPECT_FALSE(g.project({"a", "q", "b"}).has_value());
-}
-
 TEST(NetworkGraph, SelfRoute) {
   NetworkGraph g = y_graph();
   const auto p = g.route("a", "a");

@@ -96,19 +96,25 @@ netsim::Topology waxman(std::size_t hosts, std::size_t routers,
 
 // --- route agreement -------------------------------------------------------
 
-/// "" if the logical path expands through its links' abstracts into
-/// exactly `physical` (node names, source first); otherwise what differs.
-/// Abstracts are sorted, so each hidden chain is compared as a set.
-std::string expansion_mismatch(const core::NetworkGraph& graph,
-                               const core::GraphPath& logical,
-                               const std::vector<std::string>& physical) {
+/// "" if the logical hops, from `src`, expand through their links'
+/// abstracts into exactly `physical` (node names, source first);
+/// otherwise what differs.  Abstracts are sorted, so each hidden chain
+/// is compared as a set.
+std::string expansion_mismatch(
+    const core::NetworkGraph& graph, const std::string& src,
+    const std::vector<core::LogicalTopology::Hop>& hops,
+    const std::vector<std::string>& physical) {
   std::size_t at = 0;
-  for (std::size_t k = 0; k < logical.nodes.size(); ++k) {
-    if (at >= physical.size() || physical[at] != logical.nodes[k])
-      return "logical node " + logical.nodes[k] + " off the route";
+  std::string node = src;
+  for (std::size_t k = 0;; ++k) {
+    if (at >= physical.size() || physical[at] != node)
+      return "logical node " + node + " off the route";
     ++at;
-    if (k == logical.link_indices.size()) break;
-    const core::GraphLink& l = graph.links()[logical.link_indices[k]];
+    if (k == hops.size()) break;
+    const core::GraphLink& l = graph.links()[hops[k].link];
+    if ((hops[k].forward ? l.a : l.b) != node)
+      return "hop " + l.a + "--" + l.b + " does not leave " + node;
+    node = hops[k].forward ? l.b : l.a;
     if (at + l.abstracts.size() > physical.size())
       return "route too short for " + l.a + "--" + l.b;
     std::vector<std::string> hidden(
@@ -139,9 +145,13 @@ TEST_P(RouteAgreement, SimulatorCollectorAndModelerRouteAlike) {
     for (int rep = 0; rep < 3; ++rep) {
       const std::vector<std::string> group =
           pick_hosts(topo, group_size, rng);
-      const core::NetworkGraph graph = core::build_logical_graph(
-          model, group, core::Timeframe::statics(), 1.0,
+      std::vector<std::int32_t> ids;
+      for (const std::string& h : group) ids.push_back(index.id_of(h));
+      std::sort(ids.begin(), ids.end());
+      const core::LogicalTopology logical = core::build_logical_topology(
+          model, ids, core::Timeframe::statics(), 1.0,
           core::LastValuePredictor{}, core::LogicalOptions{});
+      std::vector<core::LogicalTopology::Hop> hops;
       for (const std::string& a : group) {
         for (const std::string& b : group) {
           if (a == b) continue;
@@ -160,15 +170,15 @@ TEST_P(RouteAgreement, SimulatorCollectorAndModelerRouteAlike) {
             collected.insert(collected.begin(), index.name_of(cur));
             if (cur == index.id_of(a)) break;
           }
-          // 3. The logical path the Modeler charges the flow on.
-          const auto logical = core::logical_route(index, graph, a, b);
+          // 3. The logical hops the Modeler charges the flow on.
           std::string why;
           if (collected != simulated)
             why = "collector row differs";
-          else if (!logical)
+          else if (!logical.route(index, index.id_of(a), index.id_of(b),
+                                  hops))
             why = "Modeler finds no logical path";
           else
-            why = expansion_mismatch(graph, *logical, simulated);
+            why = expansion_mismatch(logical.graph, a, hops, simulated);
           if (!why.empty()) {
             ++disagreements;
             if (first.empty()) first = a + "->" + b + ": " + why;

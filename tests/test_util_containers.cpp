@@ -1,12 +1,60 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "collector/network_model.hpp"
 #include "util/error.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
 
+// GCC pairs the visible `new` expressions with the std::free inside the
+// replaced operator delete and cannot see that the replaced operator new
+// allocates with std::malloc; the pairing is correct by construction.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+namespace {
+// Heap bytes requested, and the largest single request, while counting.
+std::atomic<bool> g_count_bytes{false};
+std::atomic<std::size_t> g_bytes{0};
+std::atomic<std::size_t> g_largest{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_bytes.load(std::memory_order_relaxed)) {
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
+    std::size_t largest = g_largest.load(std::memory_order_relaxed);
+    while (size > largest &&
+           !g_largest.compare_exchange_weak(largest, size,
+                                            std::memory_order_relaxed)) {
+    }
+  }
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace remos {
 namespace {
+
+/// Counts the heap bytes `body` requests and its largest single request.
+template <typename F>
+std::pair<std::size_t, std::size_t> heap_bytes(F&& body) {
+  g_bytes = 0;
+  g_largest = 0;
+  g_count_bytes = true;
+  body();
+  g_count_bytes = false;
+  return {g_bytes.load(), g_largest.load()};
+}
 
 TEST(RingBuffer, RejectsZeroCapacity) {
   EXPECT_THROW(RingBuffer<int>(0), InvalidArgument);
@@ -45,6 +93,29 @@ TEST(RingBuffer, ClearResets) {
   rb.push(7);
   EXPECT_EQ(rb.front(), 7);
   EXPECT_EQ(rb.back(), 7);
+}
+
+TEST(RingBuffer, StorageGrowsOnDemandUpToCapacity) {
+  RingBuffer<double> rb(1000);
+  EXPECT_EQ(heap_bytes([&] { rb.push(1.0); }).first, sizeof(double));
+  // Filling and wrapping never holds more than the capacity.
+  const auto [bytes, largest] = heap_bytes([&] {
+    for (int i = 0; i < 5000; ++i) rb.push(static_cast<double>(i));
+  });
+  EXPECT_LE(largest, 1000 * sizeof(double));
+  EXPECT_EQ(rb.size(), 1000u);
+  EXPECT_EQ(rb.front(), 4000.0);
+  EXPECT_EQ(rb.back(), 4999.0);
+}
+
+TEST(RingBuffer, FreshLinkHistoryHoldsOnlyWhatItRecorded) {
+  // A raw ring plus two rollup cascades: reserving every ring's capacity
+  // up front cost 266,128 bytes per link before any sample arrived.
+  const std::size_t bytes = heap_bytes([] {
+                              collector::LinkHistory h;
+                              h.record(collector::Sample{1.0, 2.0, 3.0});
+                            }).first;
+  EXPECT_LT(bytes, 4096u);
 }
 
 TEST(Strings, JoinAndSplitRoundTrip) {
