@@ -231,10 +231,7 @@ LogicalTopology build_logical_topology(const NetworkModel& model,
       }
     }
     // Model link order, so the graph matches a scan of model.links().
-    std::sort(kept.begin(), kept.end(),
-              [](const KeptLink& p, const KeptLink& q) {
-                return p.link < q.link;
-              });
+    std::ranges::sort(kept, {}, &KeptLink::link);
   }
   std::sort(kept_nodes.begin(), kept_nodes.end());
   const std::size_t nk = kept_nodes.size();
@@ -275,14 +272,14 @@ LogicalTopology build_logical_topology(const NetworkModel& model,
   merged_into.reserve(2 * kept.size());
   for (const KeptLink& k : kept) {
     const ModelLink& l = links[k.link];
-    WorkLink w;
-    w.a = k.a;
-    w.b = k.b;
-    w.capacity = exactish(l.capacity);
-    w.latency = exactish(l.latency);
-    w.used_ab = used_for_timeframe(l.history, timeframe, now, true, predictor);
-    w.used_ba =
-        used_for_timeframe(l.history, timeframe, now, false, predictor);
+    WorkLink w{k.a,
+               k.b,
+               exactish(l.capacity),
+               exactish(l.latency),
+               used_for_timeframe(l.history, timeframe, now, true, predictor),
+               used_for_timeframe(l.history, timeframe, now, false, predictor),
+               {},
+               l.sharing};
     if (options.accuracy_halflife > 0) {
       // Staleness decay: confidence halves every accuracy_halflife
       // seconds since a collector last confirmed this link.
@@ -297,7 +294,6 @@ LogicalTopology build_logical_topology(const NetworkModel& model,
         w.used_ba.accuracy *= factor;
       }
     }
-    w.sharing = l.sharing;
     merged_into.push_back(static_cast<std::uint32_t>(work.size()));
     work.push_back(std::move(w));
   }
@@ -347,14 +343,11 @@ LogicalTopology build_logical_topology(const NetworkModel& model,
     if (collapsed[s] || (degree(s) == 0 && !queried[s])) continue;
     const std::int32_t id = kept_nodes[s];
     const ModelNode& mn = model.node(index.name_of(id));
-    GraphNode gn;
-    gn.name = mn.name;
-    gn.is_compute = !mn.is_router();
-    if (mn.internal_bw > 0) gn.internal_bw = exactish(mn.internal_bw);
-    gn.has_host_info = mn.has_host_info;
-    gn.cpu_load = mn.cpu_load;
-    gn.memory_mb = mn.memory_mb;
-    LogicalAssembly::add_node(out.graph, std::move(gn));
+    LogicalAssembly::add_node(
+        out.graph,
+        {mn.name, !mn.is_router(),
+         mn.internal_bw > 0 ? exactish(mn.internal_bw) : Measurement{},
+         mn.has_host_info, mn.cpu_load, mn.memory_mb});
     out.node_ids.push_back(id);
   }
   // Surviving links in working order: model links in model order, then
@@ -362,27 +355,21 @@ LogicalTopology build_logical_topology(const NetworkModel& model,
   std::vector<std::uint32_t> logical(work.size());
   for (std::uint32_t i = 0; i < work.size(); ++i) {
     if (merged_into[i] != i) continue;
-    WorkLink& w = work[i];
+    const WorkLink& w = work[i];
     logical[i] = static_cast<std::uint32_t>(out.link_ends.size());
     out.link_ends.push_back({w.a, w.b});
-    GraphLink gl;
-    gl.a = index.name_of(w.a);
-    gl.b = index.name_of(w.b);
-    gl.capacity = w.capacity;
-    gl.latency = w.latency;
-    gl.used_ab = w.used_ab;
-    gl.used_ba = w.used_ba;
-    gl.abstracts.reserve(w.abstracts.size());
+    std::vector<std::string> abstracts;
     for (const std::int32_t h : w.abstracts)
-      gl.abstracts.push_back(index.name_of(h));
-    gl.sharing = w.sharing;
-    LogicalAssembly::add_link(out.graph, std::move(gl));
+      abstracts.push_back(index.name_of(h));
+    LogicalAssembly::add_link(
+        out.graph, {index.name_of(w.a), index.name_of(w.b), w.capacity,
+                    w.latency, w.used_ab, w.used_ba, std::move(abstracts),
+                    w.sharing});
   }
   // A merge's parent comes after it, so one backward sweep resolves
   // every kept model link to the logical link it ended up in.
   for (std::size_t i = work.size(); i-- > 0;)
     if (merged_into[i] != i) logical[i] = logical[merged_into[i]];
-  out.model_links.reserve(kept.size());
   for (const KeptLink& k : kept) out.model_links.push_back(k.link);
   logical.resize(kept.size());
   out.logical_of = std::move(logical);
@@ -396,7 +383,6 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
                                  const LogicalOptions& options) {
   const RoutingIndex& index = model.routing_index();
   std::vector<std::int32_t> ids;
-  ids.reserve(nodes.size());
   for (const std::string& n : nodes) {
     const std::int32_t id = index.id_of(n);
     if (id == RoutingIndex::kNoNode) model.node(n);  // throws NotFoundError

@@ -15,11 +15,9 @@
 //      GraphLink::abstracts -- the paper's complex-network-as-one-link
 //      abstraction.
 //
-// The build runs on the model's RoutingIndex ids and attaches names only
-// when it assembles the graph.  Chains collapse in one pass over the
-// eligible routers in id (= name) order; it returns the graph together
-// with the link table that pass produced, so flows route through the
-// graph without looking names up (LogicalTopology::route).
+// The build runs on RoutingIndex ids, attaches names only at assembly,
+// and returns the link table its one collapse pass produced, so flows
+// route through the graph without name lookups (LogicalTopology::route).
 #pragma once
 
 #include <array>

@@ -81,16 +81,14 @@ GraphResult Modeler::get_graph_result(const std::vector<std::string>& nodes,
   }
   queries_answered_.fetch_add(1, std::memory_order_relaxed);
   const collector::NetworkModel& m = model();
-  const collector::RoutingIndex& index = m.routing_index();
 
   // Partition the queried names so one typo degrades the answer instead
   // of aborting it.
-  std::vector<std::int32_t> known;
+  std::vector<std::string> known;
   known.reserve(nodes.size());
   for (const std::string& n : nodes) {
-    const std::int32_t id = index.id_of(n);
-    if (id != collector::RoutingIndex::kNoNode)
-      known.push_back(id);
+    if (m.has_node(n))
+      known.push_back(n);
     else
       out.unknown_nodes.push_back(n);
   }
@@ -98,15 +96,12 @@ GraphResult Modeler::get_graph_result(const std::vector<std::string>& nodes,
     out.status = obs::GraphStatus::kUnresolved;
     return out;
   }
-  std::sort(known.begin(), known.end());
-  known.erase(std::unique(known.begin(), known.end()), known.end());
 
   {
     obs::TraceBuilder::Scoped span(trace_, "logical_build");
     try {
-      out.graph = build_logical_topology(m, known, timeframe, now(m),
-                                         *predictor_, options)
-                      .graph;
+      out.graph = build_logical_graph(m, known, timeframe, now(m),
+                                      *predictor_, options);
     } catch (const std::exception& e) {
       out.status = obs::GraphStatus::kInvalid;
       out.error = e.what();
@@ -194,10 +189,8 @@ FlowEndpoints resolve_endpoints(const FlowQuery& query,
       ids.push_back(index.id_of(d));
     }
   }
-  for (const auto& [src, dst] : out.flows) {
-    out.known.push_back(src);
-    out.known.push_back(dst);
-  }
+  for (const auto& ends : out.flows)
+    out.known.insert(out.known.end(), ends.begin(), ends.end());
   for (const std::vector<std::int32_t>& ids : out.multicast)
     out.known.insert(out.known.end(), ids.begin(), ids.end());
   std::erase(out.known, collector::RoutingIndex::kNoNode);
@@ -237,15 +230,13 @@ FlowQueryResult solve_on_graph(const FlowQuery& query,
   }
   std::vector<std::int32_t> constrained_nodes;  // ids, ascending
   std::vector<double> node_capacity;
-  {
-    auto id = topo.node_ids.begin();
-    for (const auto& [name, n] : graph.nodes()) {
-      if (n.internal_bw.known()) {
-        constrained_nodes.push_back(*id);
-        node_capacity.push_back(n.internal_bw.mean);
-      }
-      ++id;
+  auto node_id = topo.node_ids.begin();
+  for (const auto& [name, n] : graph.nodes()) {
+    if (n.internal_bw.known()) {
+      constrained_nodes.push_back(*node_id);
+      node_capacity.push_back(n.internal_bw.mean);
     }
+    ++node_id;
   }
 
   // Route every flow once, on the model: its route there (the route the
