@@ -638,5 +638,32 @@ TEST(LogicalDifferentialShapes, TriangleOfDegreeTwoRoutersStays) {
   EXPECT_NE(g.find_link("p", "r"), nullptr);
 }
 
+TEST(LogicalDifferentialShapes, RouteRefusesWhatTheBuildDidNotKeep) {
+  // h1 -- j1 -- j2 -- h2 collapses to one link; h3 hangs off j2 and h4
+  // is isolated.  Queried: h1, h2, h4.
+  NetworkModel m = shape({"j1", "j2"}, {{"j1", "j2"}});
+  m.upsert_node("h3", false);
+  m.upsert_node("h4", false);
+  m.upsert_link("j2", "h3", mbps(100), millis(1));
+  const RoutingIndex& index = m.routing_index();
+  std::vector<std::int32_t> ids{index.id_of("h1"), index.id_of("h2"),
+                                index.id_of("h4")};
+  std::sort(ids.begin(), ids.end());
+  const LogicalTopology topo =
+      build_logical_topology(m, ids, Timeframe::statics(), 1.0,
+                             EwmaPredictor(0.3), LogicalOptions{});
+  std::vector<LogicalTopology::Hop> hops;
+  ASSERT_TRUE(topo.route(index, index.id_of("h2"), index.id_of("h1"), hops));
+  ASSERT_EQ(hops.size(), 1u);  // three model links, one logical hop
+  EXPECT_EQ(topo.graph.links()[hops[0].link].abstracts,
+            (std::vector<std::string>{"j1", "j2"}));
+  EXPECT_EQ(topo.far_end(hops[0]), index.id_of("h1"));
+  // Off the kept links, unreachable, or unknown: no route.
+  EXPECT_FALSE(topo.route(index, index.id_of("h1"), index.id_of("h3"), hops));
+  EXPECT_FALSE(topo.route(index, index.id_of("h1"), index.id_of("h4"), hops));
+  EXPECT_FALSE(topo.route(index, RoutingIndex::kNoNode, index.id_of("h1"),
+                          hops));
+}
+
 }  // namespace
 }  // namespace remos::core
