@@ -100,16 +100,19 @@ class NetworkGraph {
   std::vector<std::string> neighbors(const std::string& name) const;
 
   /// Mutable link access for clients that post-process annotations (e.g.
-  /// crediting an application's own traffic back before costing).  Each
-  /// call drops the cached route structure, so routing sees the edits.
+  /// crediting an application's own traffic back before costing), or
+  /// that append links already known to be unique between present nodes
+  /// (the logical builder).  Each call drops the cached route structure,
+  /// so routing sees the edits.
   std::vector<GraphLink>& mutable_links() {
     routes_.reset();
     return links_;
   }
 
   /// Mutable node access for annotation post-processing (e.g. the service
-  /// cache discounting dynamic accuracies on brownout answers); drops the
-  /// route structure too.  Renaming a node through it is undefined.
+  /// cache discounting dynamic accuracies on brownout answers) and the
+  /// logical builder's inserts; drops the route structure too.  A node
+  /// whose name differs from its key is undefined.
   std::map<std::string, GraphNode>& mutable_nodes() {
     routes_.reset();
     return nodes_;
@@ -144,8 +147,6 @@ class NetworkGraph {
   std::string to_string() const;
 
  private:
-  friend class LogicalAssembly;  // logical.cpp's checked bulk append
-
   /// The route kernel over the current nodes and links, built on first
   /// use (unsynchronized: share a graph across threads only by copy) and
   /// dropped by every mutator.

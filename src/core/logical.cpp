@@ -2,24 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
 
 #include "util/error.hpp"
 
 namespace remos::core {
-
-/// Appends what build_logical_topology has already checked -- names
-/// unique and ascending, links between present nodes, at most one per
-/// pair -- without add_link's O(links) duplicate scan.
-class LogicalAssembly {
- public:
-  static void add_node(NetworkGraph& g, GraphNode node) {
-    g.nodes_.emplace_hint(g.nodes_.end(), node.name, std::move(node));
-  }
-  static void add_link(NetworkGraph& g, GraphLink link) {
-    g.links_.push_back(std::move(link));
-  }
-};
 
 namespace {
 
@@ -337,19 +325,24 @@ LogicalTopology build_logical_topology(const NetworkModel& model,
 
   // 3. Assemble the value graph, attaching names.  A node survives
   // unless collapsed, or unqueried with no link (keep_all's isolated
-  // nodes).
+  // nodes).  Names come in ascending order and links are unique between
+  // present nodes, so both append directly, skipping add_link's
+  // O(links) duplicate scan.
   LogicalTopology out;
+  std::map<std::string, GraphNode>& graph_nodes = out.graph.mutable_nodes();
   for (std::size_t s = 0; s < nk; ++s) {
     if (collapsed[s] || (degree(s) == 0 && !queried[s])) continue;
     const std::int32_t id = kept_nodes[s];
     const ModelNode& mn = model.node(index.name_of(id));
-    LogicalAssembly::add_node(
-        out.graph,
-        {mn.name, !mn.is_router(),
-         mn.internal_bw > 0 ? exactish(mn.internal_bw) : Measurement{},
-         mn.has_host_info, mn.cpu_load, mn.memory_mb});
+    graph_nodes.emplace_hint(
+        graph_nodes.end(), mn.name,
+        GraphNode{mn.name, !mn.is_router(),
+                  mn.internal_bw > 0 ? exactish(mn.internal_bw)
+                                     : Measurement{},
+                  mn.has_host_info, mn.cpu_load, mn.memory_mb});
     out.node_ids.push_back(id);
   }
+  std::vector<GraphLink>& graph_links = out.graph.mutable_links();
   // Surviving links in working order: model links in model order, then
   // merged chains in the order they were made.
   std::vector<std::uint32_t> logical(work.size());
@@ -361,10 +354,9 @@ LogicalTopology build_logical_topology(const NetworkModel& model,
     std::vector<std::string> abstracts;
     for (const std::int32_t h : w.abstracts)
       abstracts.push_back(index.name_of(h));
-    LogicalAssembly::add_link(
-        out.graph, {index.name_of(w.a), index.name_of(w.b), w.capacity,
-                    w.latency, w.used_ab, w.used_ba, std::move(abstracts),
-                    w.sharing});
+    graph_links.push_back({index.name_of(w.a), index.name_of(w.b), w.capacity,
+                           w.latency, w.used_ab, w.used_ba,
+                           std::move(abstracts), w.sharing});
   }
   // A merge's parent comes after it, so one backward sweep resolves
   // every kept model link to the logical link it ended up in.
