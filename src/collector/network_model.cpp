@@ -167,7 +167,13 @@ netsim::RouteKernel model_kernel(const NetworkModel& model) {
 }  // namespace
 
 RoutingIndex::RoutingIndex(const NetworkModel& model)
-    : kernel_(model_kernel(model)) {}
+    : kernel_(model_kernel(model)) {
+  // Ids are in name order, the order of model.nodes().
+  nodes_.reserve(model.nodes().size());
+  for (const auto& [name, node] : model.nodes()) nodes_.push_back(&node);
+  link_a_.reserve(model.links().size());
+  for (const ModelLink& l : model.links()) link_a_.push_back(id_of(l.a));
+}
 
 const RoutingIndex& NetworkModel::routing_index() const {
   routing_cache_.lock();

@@ -138,6 +138,12 @@ struct ModelLink {
 /// to the model state it was built from: NetworkModel::routing_index()
 /// rebuilds it after any structural write.  Rows are memoized per source
 /// and safe to request from concurrent query workers sharing one index.
+///
+/// Two by-id tables, built with the index, let a query work on ids
+/// alone: each model link's `a`-end id, and each id's ModelNode.  They
+/// point into the model the index was built from and, like the index,
+/// stay valid until its next structural write.  A node's measurement
+/// fields (internal bandwidth, host info) read through live.
 class RoutingIndex {
  public:
   /// One source's row: prev_node[v] is the predecessor of v on the route
@@ -158,12 +164,21 @@ class RoutingIndex {
     return kernel_.name_of(id);
   }
   bool is_router(std::int32_t id) const { return kernel_.forwards(id); }
+  /// The model node with id `id`.
+  const ModelNode& node(std::int32_t id) const {
+    return *nodes_[static_cast<std::size_t>(id)];
+  }
+  /// The id of model link `link`'s `a` end (links() order, down links
+  /// included).
+  std::int32_t link_a(std::size_t link) const { return link_a_[link]; }
 
   /// The memoized row from `src` (searched on first use).
   const Row& row_from(std::int32_t src) const { return kernel_.row(src); }
 
  private:
   netsim::RouteKernel kernel_;
+  std::vector<const ModelNode*> nodes_;  // by id
+  std::vector<std::int32_t> link_a_;     // by model link
 };
 
 /// Discovered topology plus measurement state.  Links are unordered pairs;
@@ -242,9 +257,8 @@ class NetworkModel {
   std::uint64_t structure_version_ = 0;
 
   /// Cached routing index + the structure version it was built under.
-  /// Copies of a model deliberately start with a cold cache (the index
-  /// holds no model pointers, but rebuilding on first use is simpler
-  /// than proving copy equivalence).
+  /// Copies of a model start with a cold cache: the index's by-id tables
+  /// point into the model it was built from.
   struct RoutingCache {
     RoutingCache() = default;
     RoutingCache(const RoutingCache&) {}

@@ -10,10 +10,6 @@ namespace remos::core {
 
 using netsim::RouteKernel;
 
-namespace {
-
-/// capacity - used, element-wise on quartiles, clamped at zero.  Note the
-/// quartile flip: high usage means low availability.
 Measurement availability(const Measurement& capacity,
                          const Measurement& used) {
   if (!used.known()) return capacity;
@@ -29,8 +25,6 @@ Measurement availability(const Measurement& capacity,
   out.accuracy = std::min(capacity.accuracy, used.accuracy);
   return out;
 }
-
-}  // namespace
 
 Measurement GraphLink::available_ab() const {
   return availability(capacity, used_ab);

@@ -58,6 +58,11 @@ struct GraphLink {
   Measurement available_from(const std::string& from) const;
 };
 
+/// capacity - used, element-wise on quartiles, clamped at zero (high
+/// usage means low availability, so the quartiles flip); `capacity` when
+/// `used` is unknown.
+Measurement availability(const Measurement& capacity, const Measurement& used);
+
 /// A route inside a NetworkGraph.
 struct GraphPath {
   std::vector<std::string> nodes;           // src ... dst

@@ -1,8 +1,8 @@
 #include "core/logical.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
 #include <numeric>
 
 #include "util/error.hpp"
@@ -15,48 +15,29 @@ using collector::ModelLink;
 using collector::ModelNode;
 using collector::NetworkModel;
 using collector::RoutingIndex;
+using Link = LogicalTopology::Link;
 
-Measurement exactish(double v) { return Measurement::exact(v); }
-
-/// One link of the working set: a kept model link, or the chain merged
-/// from two earlier entries.  Ends and hidden routers are ids.
-struct WorkLink {
-  std::int32_t a, b;
-  Measurement capacity, latency, used_ab, used_ba;
-  std::vector<std::int32_t> abstracts;  // ascending
-  SharingPolicy sharing = SharingPolicy::kUnknown;
-
-  std::int32_t other(std::int32_t end) const { return a == end ? b : a; }
-};
+std::int32_t other(const Link& l, std::int32_t end) {
+  return l.a == end ? l.b : l.a;
+}
 
 /// Collapses router n out of l1 = x--n and l2 = n--y (l1 the older) into
 /// x--y: min capacity, summed latency, and per direction the usage that
 /// leaves the least availability along the chain.
-WorkLink merge(const WorkLink& l1, const WorkLink& l2, std::int32_t n,
-               std::int32_t x, std::int32_t y) {
+Link merge(const Link& l1, const Link& l2, std::int32_t n, std::int32_t x,
+           std::int32_t y) {
   // Direction bookkeeping: usage seen traveling x -> n -> y.
-  auto used_towards = [](const WorkLink& l, std::int32_t to) {
+  auto used_towards = [](const Link& l, std::int32_t to) {
     return l.b == to ? l.used_ab : l.used_ba;
   };
-  auto avail = [](const Measurement& cap, const Measurement& used) {
-    GraphLink tmp;
-    tmp.capacity = cap;
-    tmp.used_ab = used;
-    return tmp.available_ab();
-  };
-  WorkLink merged;
-  merged.a = x;
-  merged.b = y;
-  const double cap = std::min(l1.capacity.mean, l2.capacity.mean);
-  merged.capacity = exactish(cap);
-  merged.latency = exactish(l1.latency.mean + l2.latency.mean);
+  const double cap = std::min(l1.capacity, l2.capacity);
   // Logical usage: whatever leaves the *least* availability along the
   // chain, per direction, element-wise on quartiles.
   auto merge_used = [&](std::int32_t from) {
-    const Measurement a1 =
-        avail(l1.capacity, used_towards(l1, from == x ? n : x));
-    const Measurement a2 =
-        avail(l2.capacity, used_towards(l2, from == x ? y : n));
+    const Measurement a1 = availability(Measurement::exact(l1.capacity),
+                                        used_towards(l1, from == x ? n : x));
+    const Measurement a2 = availability(Measurement::exact(l2.capacity),
+                                        used_towards(l2, from == x ? y : n));
     if (!l1.used_ab.known() && !l2.used_ab.known() && !l1.used_ba.known() &&
         !l2.used_ba.known())
       return Measurement{};
@@ -77,17 +58,45 @@ WorkLink merge(const WorkLink& l1, const WorkLink& l2, std::int32_t n,
       *q = std::max(0.0, *q);
     return out;
   };
-  merged.used_ab = merge_used(x);
-  merged.used_ba = merge_used(y);
   // A chain of uniform policy keeps it; a mixed chain is opaque.
-  merged.sharing =
-      l1.sharing == l2.sharing ? l1.sharing : SharingPolicy::kUnknown;
-  merged.abstracts = l1.abstracts;
-  merged.abstracts.push_back(n);
-  merged.abstracts.insert(merged.abstracts.end(), l2.abstracts.begin(),
-                          l2.abstracts.end());
-  std::sort(merged.abstracts.begin(), merged.abstracts.end());
-  return merged;
+  return Link{x,
+              y,
+              cap,
+              l1.latency + l2.latency,
+              merge_used(x),
+              merge_used(y),
+              l1.sharing == l2.sharing ? l1.sharing : SharingPolicy::kUnknown};
+}
+
+/// The one pass that attaches names: `topo` as the value graph the API
+/// returns, its links in topo.links order.  Names come in ascending order
+/// and links are unique between present nodes, so both append directly,
+/// skipping add_link's O(links) duplicate scan.
+NetworkGraph named_graph(const LogicalTopology& topo,
+                         const RoutingIndex& index) {
+  NetworkGraph graph;
+  auto& nodes = graph.mutable_nodes();
+  for (const LogicalTopology::Node& n : topo.nodes) {
+    const ModelNode& mn = index.node(n.id);
+    nodes.emplace_hint(nodes.end(), mn.name,
+                       GraphNode{mn.name, !mn.is_router(),
+                                 n.internal_bw > 0
+                                     ? Measurement::exact(n.internal_bw)
+                                     : Measurement{},
+                                 mn.has_host_info, mn.cpu_load,
+                                 mn.memory_mb});
+  }
+  std::vector<GraphLink>& links = graph.mutable_links();
+  links.reserve(topo.links.size());
+  for (const Link& l : topo.links)
+    links.push_back({index.name_of(l.a), index.name_of(l.b),
+                     Measurement::exact(l.capacity),
+                     Measurement::exact(l.latency), l.used_ab, l.used_ba,
+                     {}, l.sharing});
+  // Ascending router ids, so each link lists its routers in name order.
+  for (const LogicalTopology::Hidden& h : topo.hidden)
+    links[h.link].abstracts.push_back(index.name_of(h.router));
+  return graph;
 }
 
 }  // namespace
@@ -102,7 +111,8 @@ Measurement used_for_timeframe(const collector::LinkHistory& history,
     case Timeframe::Kind::kCurrent: {
       if (history.empty()) return Measurement{};
       const collector::Sample& s = history.latest();
-      return Measurement::from_samples({ab ? s.used_ab : s.used_ba});
+      return Measurement::from_samples(
+          std::array<double, 1>{ab ? s.used_ab : s.used_ba});
     }
     case Timeframe::Kind::kHistory: {
       obs::WindowStats w =
@@ -143,7 +153,7 @@ bool LogicalTopology::route(const RoutingIndex& index, std::int32_t src,
     const std::uint32_t link =
         logical_of[static_cast<std::size_t>(it - model_links.begin())];
     cur = row.prev_node[c];
-    const bool forward = cur == link_ends[link][0];
+    const bool forward = cur == links[link].a;
     if (!hops.empty() && hops.back().link == link)
       hops.back().forward = forward;
     else
@@ -169,7 +179,8 @@ LogicalTopology build_logical_topology(const NetworkModel& model,
   // the model's cached RoutingIndex rows.  A row is a tree, so each
   // source's walks stop at the first node already reached from it: the
   // walks cost O(kept nodes) per source, and this step and the
-  // annotation below cost O(kept links), not O(model).
+  // annotation below cost O(kept links), not O(model).  Orientation
+  // comes from the index's link table, so no name is compared.
   struct KeptLink {
     std::uint32_t link;  // into model.links()
     std::int32_t a, b;   // its ends, in the model link's orientation
@@ -188,8 +199,8 @@ LogicalTopology build_logical_topology(const NetworkModel& model,
       keep_node(static_cast<std::int32_t>(v));
     for (std::size_t li = 0; li < links.size(); ++li)
       if (links[li].up())
-        kept.push_back({static_cast<std::uint32_t>(li),
-                        index.id_of(links[li].a), index.id_of(links[li].b)});
+        kept.push_back({static_cast<std::uint32_t>(li), index.link_a(li),
+                        index.id_of(links[li].b)});
   } else {
     std::vector<std::int32_t> reached_from(index.node_count(), kNoNode);
     std::vector<char> taken(links.size(), 0);
@@ -210,7 +221,7 @@ LogicalTopology build_logical_topology(const NetworkModel& model,
           const auto li = static_cast<std::size_t>(row.prev_link[c]);
           if (!taken[li]) {
             taken[li] = 1;
-            const bool cur_is_a = links[li].a == index.name_of(cur);
+            const bool cur_is_a = index.link_a(li) == cur;
             kept.push_back({static_cast<std::uint32_t>(li),
                             cur_is_a ? cur : prev, cur_is_a ? prev : cur});
           }
@@ -254,20 +265,19 @@ LogicalTopology build_logical_topology(const NetworkModel& model,
   // Annotated working copies of the kept links.  Merged chains are
   // appended; merged_into is each entry's union-find parent (itself
   // while the link survives).
-  std::vector<WorkLink> work;
+  std::vector<Link> work;
   work.reserve(2 * kept.size());
   std::vector<std::uint32_t> merged_into;
   merged_into.reserve(2 * kept.size());
   for (const KeptLink& k : kept) {
     const ModelLink& l = links[k.link];
-    WorkLink w{k.a,
-               k.b,
-               exactish(l.capacity),
-               exactish(l.latency),
-               used_for_timeframe(l.history, timeframe, now, true, predictor),
-               used_for_timeframe(l.history, timeframe, now, false, predictor),
-               {},
-               l.sharing};
+    Link w{k.a,
+           k.b,
+           l.capacity,
+           l.latency,
+           used_for_timeframe(l.history, timeframe, now, true, predictor),
+           used_for_timeframe(l.history, timeframe, now, false, predictor),
+           l.sharing};
     if (options.accuracy_halflife > 0) {
       // Staleness decay: confidence halves every accuracy_halflife
       // seconds since a collector last confirmed this link.
@@ -283,7 +293,7 @@ LogicalTopology build_logical_topology(const NetworkModel& model,
       }
     }
     merged_into.push_back(static_cast<std::uint32_t>(work.size()));
-    work.push_back(std::move(w));
+    work.push_back(w);
   }
 
   // 2. Chain collapsing, one pass over the eligible routers in id (=
@@ -291,26 +301,28 @@ LogicalTopology build_logical_topology(const NetworkModel& model,
   // keep), degree 2.  A merge never changes a degree, and a router
   // skipped because its far ends x, y are already linked sits in the
   // triangle x, n, y, which no later merge can break -- so this pass
-  // makes the merges a restart-from-the-first-name loop would.
+  // makes the merges a restart-from-the-first-name loop would.  Each
+  // collapsed router is recorded with the merge that hid it.
+  LogicalTopology out;
   std::vector<char> collapsed(nk, 0);
   if (options.collapse_chains) {
     for (std::size_t s = 0; s < nk; ++s) {
       const std::int32_t n = kept_nodes[s];
       if (queried[s] || degree(s) != 2 || !index.is_router(n) ||
-          model.node(index.name_of(n)).internal_bw > 0)
+          index.node(n).internal_bw > 0)
         continue;
       const std::uint32_t* pair = &incident[offset[s]];
       const std::uint32_t i1 = std::min(pair[0], pair[1]);
       const std::uint32_t i2 = std::max(pair[0], pair[1]);
-      const std::int32_t x = work[i1].other(n);
-      const std::int32_t y = work[i2].other(n);
+      const std::int32_t x = other(work[i1], n);
+      const std::int32_t y = other(work[i2], n);
       // A link x--y already exists: keep both as physical (no
       // multigraph support) and skip this node.
       const std::size_t sx = slot_of(x), sy = slot_of(y);
       const auto first = incident.begin() + offset[sx];
       const auto last = incident.begin() + offset[sx + 1];
       if (std::any_of(first, last,
-                      [&](std::uint32_t j) { return work[j].other(x) == y; }))
+                      [&](std::uint32_t j) { return other(work[j], x) == y; }))
         continue;
       const auto merged = static_cast<std::uint32_t>(work.size());
       work.push_back(merge(work[i1], work[i2], n, x, y));
@@ -320,48 +332,36 @@ LogicalTopology build_logical_topology(const NetworkModel& model,
       *std::find(incident.begin() + offset[sy],
                  incident.begin() + offset[sy + 1], i2) = merged;
       collapsed[s] = 1;
+      out.hidden.push_back({n, merged});
     }
   }
 
-  // 3. Assemble the value graph, attaching names.  A node survives
-  // unless collapsed, or unqueried with no link (keep_all's isolated
-  // nodes).  Names come in ascending order and links are unique between
-  // present nodes, so both append directly, skipping add_link's
-  // O(links) duplicate scan.
-  LogicalTopology out;
-  std::map<std::string, GraphNode>& graph_nodes = out.graph.mutable_nodes();
+  // 3. Assemble.  A node survives unless collapsed, or unqueried with no
+  // link (keep_all's isolated nodes).
+  out.nodes.reserve(nk);
   for (std::size_t s = 0; s < nk; ++s) {
     if (collapsed[s] || (degree(s) == 0 && !queried[s])) continue;
     const std::int32_t id = kept_nodes[s];
-    const ModelNode& mn = model.node(index.name_of(id));
-    graph_nodes.emplace_hint(
-        graph_nodes.end(), mn.name,
-        GraphNode{mn.name, !mn.is_router(),
-                  mn.internal_bw > 0 ? exactish(mn.internal_bw)
-                                     : Measurement{},
-                  mn.has_host_info, mn.cpu_load, mn.memory_mb});
-    out.node_ids.push_back(id);
+    out.nodes.push_back({id, index.node(id).internal_bw});
   }
-  std::vector<GraphLink>& graph_links = out.graph.mutable_links();
-  // Surviving links in working order: model links in model order, then
-  // merged chains in the order they were made.
+  // Surviving links in working order (model links in model order, then
+  // merged chains in the order they were made), compacted in place.
   std::vector<std::uint32_t> logical(work.size());
+  std::uint32_t survivors = 0;
   for (std::uint32_t i = 0; i < work.size(); ++i) {
     if (merged_into[i] != i) continue;
-    const WorkLink& w = work[i];
-    logical[i] = static_cast<std::uint32_t>(out.link_ends.size());
-    out.link_ends.push_back({w.a, w.b});
-    std::vector<std::string> abstracts;
-    for (const std::int32_t h : w.abstracts)
-      abstracts.push_back(index.name_of(h));
-    graph_links.push_back({index.name_of(w.a), index.name_of(w.b), w.capacity,
-                           w.latency, w.used_ab, w.used_ba,
-                           std::move(abstracts), w.sharing});
+    logical[i] = survivors;
+    work[survivors++] = work[i];
   }
+  work.resize(survivors);
+  out.links = std::move(work);
   // A merge's parent comes after it, so one backward sweep resolves
-  // every kept model link to the logical link it ended up in.
-  for (std::size_t i = work.size(); i-- > 0;)
+  // every kept model link, and every merge that hid a router, to the
+  // logical link it ended up in.
+  for (std::size_t i = logical.size(); i-- > 0;)
     if (merged_into[i] != i) logical[i] = logical[merged_into[i]];
+  for (LogicalTopology::Hidden& h : out.hidden) h.link = logical[h.link];
+  out.model_links.reserve(kept.size());
   for (const KeptLink& k : kept) out.model_links.push_back(k.link);
   logical.resize(kept.size());
   out.logical_of = std::move(logical);
@@ -382,8 +382,9 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
   }
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return build_logical_topology(model, ids, timeframe, now, predictor, options)
-      .graph;
+  return named_graph(
+      build_logical_topology(model, ids, timeframe, now, predictor, options),
+      index);
 }
 
 }  // namespace remos::core

@@ -15,12 +15,13 @@
 //      GraphLink::abstracts -- the paper's complex-network-as-one-link
 //      abstraction.
 //
-// The build runs on RoutingIndex ids, attaches names only at assembly,
-// and returns the link table its one collapse pass produced, so flows
-// route through the graph without name lookups (LogicalTopology::route).
+// The build runs on RoutingIndex ids and returns an id-only
+// LogicalTopology with the link table its one collapse pass produced, so
+// flows route through it without name lookups (LogicalTopology::route).
+// build_logical_graph adds the one naming pass that turns it into the
+// NetworkGraph the API returns.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -47,38 +48,59 @@ struct LogicalOptions {
   Seconds accuracy_halflife = 30.0;
 };
 
-/// A logical graph and the link table its build produced.  Ids are the
-/// RoutingIndex ids of the model the graph was built from.
+/// A logical graph on ids, and the link table its build produced.  Ids
+/// are the RoutingIndex ids of the model the graph was built from; no
+/// name is attached (build_logical_graph does that).
 struct LogicalTopology {
   /// One hop of a route through the graph: a logical link and whether
   /// the route crosses it from its `a` end.
   struct Hop {
-    std::uint32_t link;  // index into graph.links()
+    std::uint32_t link;  // index into links
     bool forward;
   };
+  struct Node {
+    std::int32_t id = 0;
+    /// Aggregate forwarding capacity; 0 if the model reports none.
+    BitsPerSec internal_bw = 0;
+  };
+  /// A kept model link, or a chain collapsed into one.
+  struct Link {
+    std::int32_t a = 0, b = 0;  // end ids
+    BitsPerSec capacity = 0;
+    Seconds latency = 0;
+    Measurement used_ab, used_ba;
+    SharingPolicy sharing = SharingPolicy::kUnknown;
+  };
+  /// A router collapsed into a link.
+  struct Hidden {
+    std::int32_t router = 0;
+    std::uint32_t link = 0;  // index into links
+  };
 
-  NetworkGraph graph;
-  /// The id of each graph node, in graph.nodes() order (ascending).
-  std::vector<std::int32_t> node_ids;
-  /// The ids of each graph link's `a` and `b` ends.
-  std::vector<std::array<std::int32_t, 2>> link_ends;
-  /// The model links the build kept, ascending, and the graph link each
-  /// ended up in (itself, or the chain it was collapsed into).
+  /// The graph's nodes, ascending id (= name order).
+  std::vector<Node> nodes;
+  /// Kept model links in model order, then merged chains in the order
+  /// they were made.
+  std::vector<Link> links;
+  /// The collapsed routers, ascending id.
+  std::vector<Hidden> hidden;
+  /// The model links the build kept, ascending, and the link each ended
+  /// up in (itself, or the chain it was collapsed into).
   std::vector<std::uint32_t> model_links;
   std::vector<std::uint32_t> logical_of;
 
   /// The route src -> dst through the graph: the model's route (a walk
   /// of index.row_from(src)), each run of model links inside one logical
   /// link taken as one hop.  `index` must be the routing index of the
-  /// model the graph was built from.  Replaces `hops`; false if an
-  /// endpoint is unknown (kNoNode), dst is unreachable or the route
-  /// leaves the graph.
+  /// model the graph was built from.  False if an endpoint is unknown
+  /// (kNoNode), dst is unreachable or the route leaves the graph.
   bool route(const collector::RoutingIndex& index, std::int32_t src,
              std::int32_t dst, std::vector<Hop>& hops) const;
 
   /// The node a hop arrives at.
   std::int32_t far_end(const Hop& hop) const {
-    return link_ends[hop.link][hop.forward ? 1 : 0];
+    const Link& l = links[hop.link];
+    return hop.forward ? l.b : l.a;
   }
 };
 
@@ -91,8 +113,10 @@ LogicalTopology build_logical_topology(const collector::NetworkModel& model,
                                        Seconds now, const Predictor& predictor,
                                        const LogicalOptions& options);
 
-/// Builds the annotated logical graph for `nodes` at `now`.
-/// Throws NotFoundError if a queried node is unknown to the model.
+/// Builds the annotated logical graph for `nodes` at `now`: the
+/// topology build, then one pass that names its nodes and links (graph
+/// links in LogicalTopology::links order).  Throws NotFoundError if a
+/// queried node is unknown to the model.
 NetworkGraph build_logical_graph(const collector::NetworkModel& model,
                                  const std::vector<std::string>& nodes,
                                  const Timeframe& timeframe, Seconds now,

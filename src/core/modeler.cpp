@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
+#include <span>
 
 #include "netsim/maxmin.hpp"
 #include "util/error.hpp"
@@ -128,10 +130,12 @@ NetworkGraph Modeler::get_graph(const std::vector<std::string>& nodes,
 
 namespace {
 
-/// A routed query flow ready for allocation.
+/// A routed query flow ready for allocation: its directed link and node
+/// resources are resources[first, first + count) of the query's one
+/// resource list.
 struct RoutedFlow {
-  const FlowRequest* request;
-  std::vector<std::size_t> resources;  // directed link / node resources
+  const FlowRequest* request = nullptr;
+  std::size_t first = 0, count = 0;
   Seconds latency = 0;
   std::size_t min_samples = std::numeric_limits<std::size_t>::max();
   double min_accuracy = 1.0;
@@ -160,18 +164,27 @@ struct FlowEndpoints {
   std::vector<std::int32_t> known;  // ascending, no repeats
 };
 
+/// The query's unicast flows: fixed, then variable, then independent.
+std::vector<const FlowRequest*> flows_of(const FlowQuery& query) {
+  std::vector<const FlowRequest*> all;
+  all.reserve(query.fixed.size() + query.variable.size() + 1);
+  for (const FlowRequest& f : query.fixed) all.push_back(&f);
+  for (const FlowRequest& f : query.variable) all.push_back(&f);
+  if (query.independent) all.push_back(&*query.independent);
+  return all;
+}
+
 /// Validates the flow structure (the InvalidArgument throws here are
 /// flow_info's documented contract) and resolves every endpoint.
 FlowEndpoints resolve_endpoints(const FlowQuery& query,
                                 const collector::RoutingIndex& index) {
-  std::vector<const FlowRequest*> all;
-  for (const FlowRequest& f : query.fixed) all.push_back(&f);
-  for (const FlowRequest& f : query.variable) all.push_back(&f);
-  if (query.independent) all.push_back(&*query.independent);
+  const std::vector<const FlowRequest*> all = flows_of(query);
   if (all.empty() && query.multicast.empty())
     throw InvalidArgument("flow_info: no flows in query");
 
   FlowEndpoints out;
+  out.flows.reserve(all.size());
+  out.multicast.reserve(query.multicast.size());
   for (const FlowRequest* f : all) {
     if (f->src == f->dst)
       throw InvalidArgument("flow_info: src == dst for " + f->src);
@@ -189,6 +202,7 @@ FlowEndpoints resolve_endpoints(const FlowQuery& query,
       ids.push_back(index.id_of(d));
     }
   }
+  out.known.reserve(2 * out.flows.size());
   for (const auto& ends : out.flows)
     out.known.insert(out.known.end(), ends.begin(), ends.end());
   for (const std::vector<std::int32_t>& ids : out.multicast)
@@ -210,33 +224,18 @@ FlowQueryResult solve_on_graph(const FlowQuery& query,
                                const LogicalTopology& topo,
                                const ModelerObs* metrics,
                                obs::TraceBuilder* trace) {
-  const NetworkGraph& graph = topo.graph;
-  std::vector<const FlowRequest*> all;
-  for (const FlowRequest& f : query.fixed) all.push_back(&f);
-  for (const FlowRequest& f : query.variable) all.push_back(&f);
-  if (query.independent) all.push_back(&*query.independent);
+  const std::vector<const FlowRequest*> all = flows_of(query);
 
   // Resource table over the logical graph: two directed resources per
   // link, then one per node with a known internal bandwidth.
-  const std::size_t nl = graph.links().size();
-  std::vector<const Measurement*> dir_used(2 * nl);
-  std::vector<double> dir_capacity(2 * nl);
-  for (std::size_t i = 0; i < nl; ++i) {
-    const GraphLink& l = graph.links()[i];
-    dir_capacity[2 * i] = l.capacity.mean;
-    dir_capacity[2 * i + 1] = l.capacity.mean;
-    dir_used[2 * i] = &l.used_ab;
-    dir_used[2 * i + 1] = &l.used_ba;
-  }
+  const std::size_t nl = topo.links.size();
   std::vector<std::int32_t> constrained_nodes;  // ids, ascending
   std::vector<double> node_capacity;
-  auto node_id = topo.node_ids.begin();
-  for (const auto& [name, n] : graph.nodes()) {
-    if (n.internal_bw.known()) {
-      constrained_nodes.push_back(*node_id);
-      node_capacity.push_back(n.internal_bw.mean);
+  for (const LogicalTopology::Node& n : topo.nodes) {
+    if (n.internal_bw > 0) {
+      constrained_nodes.push_back(n.id);
+      node_capacity.push_back(n.internal_bw);
     }
-    ++node_id;
   }
 
   // Route every flow once, on the model: its route there (the route the
@@ -250,7 +249,11 @@ FlowQueryResult solve_on_graph(const FlowQuery& query,
     if (it == constrained_nodes.end() || *it != id) return std::nullopt;
     return 2 * nl + static_cast<std::size_t>(it - constrained_nodes.begin());
   };
+  const auto link_resource = [](const LogicalTopology::Hop& hop) {
+    return 2 * std::size_t{hop.link} + (hop.forward ? 0 : 1);
+  };
   std::vector<LogicalTopology::Hop> hops;
+  std::vector<std::size_t> resources;
   std::vector<RoutedFlow> routed(all.size());
   for (std::size_t i = 0; i < all.size(); ++i) {
     RoutedFlow& rf = routed[i];
@@ -259,28 +262,33 @@ FlowQueryResult solve_on_graph(const FlowQuery& query,
     if (!topo.route(routing, src, dst, hops))
       continue;  // unknown endpoint or no route: unroutable
     rf.routable = true;
+    rf.first = resources.size();
     for (const LogicalTopology::Hop& hop : hops) {
-      const GraphLink& l = graph.links()[hop.link];
-      rf.resources.push_back(2 * std::size_t{hop.link} + (hop.forward ? 0 : 1));
-      rf.latency += l.latency.quartiles.median;
+      const LogicalTopology::Link& l = topo.links[hop.link];
+      resources.push_back(link_resource(hop));
+      rf.latency += l.latency;
       const Measurement& used = hop.forward ? l.used_ab : l.used_ba;
       if (used.known()) {
         rf.min_samples = std::min(rf.min_samples, used.samples);
         rf.min_accuracy = std::min(rf.min_accuracy, used.accuracy);
       }
-      rf.min_accuracy = std::min(rf.min_accuracy, l.capacity.accuracy);
     }
-    if (const auto r = node_resource(src)) rf.resources.push_back(*r);
+    if (const auto r = node_resource(src)) resources.push_back(*r);
     for (const LogicalTopology::Hop& hop : hops)
       if (const auto r = node_resource(topo.far_end(hop)))
-        rf.resources.push_back(*r);
+        resources.push_back(*r);
+    rf.count = resources.size() - rf.first;
   }
+  const auto resources_of = [&](const RoutedFlow& rf) {
+    return std::span<const std::size_t>(resources).subspan(rf.first,
+                                                           rf.count);
+  };
 
   // Route the multicast trees: the resource set is the union over the
   // per-receiver paths (each tree link charged once), latency is the
   // farthest receiver's.
   struct RoutedMulticast {
-    std::vector<std::size_t> resources;
+    std::vector<std::size_t> resources;  // ascending
     Seconds latency = 0;
     double min_accuracy = 1.0;
     bool routable = true;
@@ -288,7 +296,6 @@ FlowQueryResult solve_on_graph(const FlowQuery& query,
   std::vector<RoutedMulticast> routed_mc(query.multicast.size());
   for (std::size_t i = 0; i < query.multicast.size(); ++i) {
     RoutedMulticast& rm = routed_mc[i];
-    std::set<std::size_t> union_resources;
     const std::int32_t src = ends.multicast[i].front();
     for (std::size_t d = 1; d < ends.multicast[i].size(); ++d) {
       if (!topo.route(routing, src, ends.multicast[i][d], hops)) {
@@ -297,21 +304,22 @@ FlowQueryResult solve_on_graph(const FlowQuery& query,
       }
       Seconds leaf_latency = 0;
       for (const LogicalTopology::Hop& hop : hops) {
-        const GraphLink& l = graph.links()[hop.link];
-        union_resources.insert(2 * std::size_t{hop.link} +
-                               (hop.forward ? 0 : 1));
-        leaf_latency += l.latency.quartiles.median;
+        const LogicalTopology::Link& l = topo.links[hop.link];
+        rm.resources.push_back(link_resource(hop));
+        leaf_latency += l.latency;
         const Measurement& used = hop.forward ? l.used_ab : l.used_ba;
         if (used.known())
           rm.min_accuracy = std::min(rm.min_accuracy, used.accuracy);
       }
       rm.latency = std::max(rm.latency, leaf_latency);
-      if (const auto r = node_resource(src)) union_resources.insert(*r);
+      if (const auto r = node_resource(src)) rm.resources.push_back(*r);
       for (const LogicalTopology::Hop& hop : hops)
         if (const auto r = node_resource(topo.far_end(hop)))
-          union_resources.insert(*r);
+          rm.resources.push_back(*r);
     }
-    rm.resources.assign(union_resources.begin(), union_resources.end());
+    std::sort(rm.resources.begin(), rm.resources.end());
+    rm.resources.erase(std::unique(rm.resources.begin(), rm.resources.end()),
+                       rm.resources.end());
   }
   if (trace) trace->close(route_span);
 
@@ -320,38 +328,61 @@ FlowQueryResult solve_on_graph(const FlowQuery& query,
       trace ? trace->open("maxmin_solve") : 0;
   const auto solve_t0 = std::chrono::steady_clock::now();
   constexpr std::size_t kScenarios = 5;
-  std::vector<std::array<double, kScenarios>> grants(
-      all.size(), std::array<double, kScenarios>{});
-  std::vector<bool> satisfied_median(all.size(), false);
+  std::vector<std::array<double, kScenarios>> grants(all.size());
   std::vector<std::array<double, kScenarios>> mc_grants(
-      query.multicast.size(), std::array<double, kScenarios>{});
-  std::vector<bool> mc_satisfied(query.multicast.size(), false);
+      query.multicast.size());
+  std::vector<netsim::MaxMinFlow> specs;
+  std::vector<std::size_t> spec_flow;  // into routed/grants
+  for (std::size_t i = 0; i < query.variable.size(); ++i) {
+    const std::size_t gi = query.fixed.size() + i;
+    if (!routed[gi].routable) continue;
+    const std::span<const std::size_t> rs = resources_of(routed[gi]);
+    specs.push_back({{rs.begin(), rs.end()},
+                     std::max(routed[gi].request->requested, 1e-9)});
+    spec_flow.push_back(gi);
+  }
 
+  // A sweep is a function of its starting residuals.  The quartiles are
+  // ordered, so a scenario that repeats an earlier one repeats the one
+  // before it: comparing each scenario's residuals, bit for bit, with
+  // the previous scenario's finds every repeat, which reuses the
+  // previous grants.
+  const std::size_t nr = 2 * nl + constrained_nodes.size();
+  std::vector<double> start(nr), prev_start(nr), residual(nr);
+  for (std::size_t k = 0; k < constrained_nodes.size(); ++k)
+    start[2 * nl + k] = prev_start[2 * nl + k] = node_capacity[k];
   for (std::size_t s = 0; s < kScenarios; ++s) {
-    std::vector<double> residual(2 * nl + constrained_nodes.size());
-    for (std::size_t r = 0; r < 2 * nl; ++r)
-      residual[r] =
-          std::max(0.0, dir_capacity[r] - used_at(*dir_used[r], s));
-    for (std::size_t k = 0; k < constrained_nodes.size(); ++k)
-      residual[2 * nl + k] = node_capacity[k];
+    for (std::size_t i = 0; i < nl; ++i) {
+      const LogicalTopology::Link& l = topo.links[i];
+      start[2 * i] = std::max(0.0, l.capacity - used_at(l.used_ab, s));
+      start[2 * i + 1] = std::max(0.0, l.capacity - used_at(l.used_ba, s));
+    }
+    if (s > 0 && std::ranges::equal(start, prev_start, [](double p, double q) {
+          return std::bit_cast<std::uint64_t>(p) ==
+                 std::bit_cast<std::uint64_t>(q);
+        })) {
+      for (std::array<double, kScenarios>& g : grants) g[s] = g[s - 1];
+      for (std::array<double, kScenarios>& g : mc_grants) g[s] = g[s - 1];
+      continue;
+    }
+    residual = start;
+    std::swap(start, prev_start);  // keep this scenario's as the previous
 
     // Stage 1: fixed flows, in query order (first come, first admitted).
     for (std::size_t i = 0; i < query.fixed.size(); ++i) {
-      RoutedFlow& rf = routed[i];
+      const RoutedFlow& rf = routed[i];
       if (!rf.routable) continue;
       double bottleneck = std::numeric_limits<double>::infinity();
-      for (std::size_t r : rf.resources)
+      for (std::size_t r : resources_of(rf))
         bottleneck = std::min(bottleneck, residual[r]);
       const double grant = std::min(rf.request->requested, bottleneck);
       grants[i][s] = grant;
-      for (std::size_t r : rf.resources) residual[r] -= grant;
-      if (s == 2)
-        satisfied_median[i] = grant >= rf.request->requested * (1 - 1e-9);
+      for (std::size_t r : resources_of(rf)) residual[r] -= grant;
     }
 
     // Stage 1b: multicast trees, admitted after the unicast fixed class.
     for (std::size_t i = 0; i < query.multicast.size(); ++i) {
-      RoutedMulticast& rm = routed_mc[i];
+      const RoutedMulticast& rm = routed_mc[i];
       if (!rm.routable) continue;
       double bottleneck = std::numeric_limits<double>::infinity();
       for (std::size_t r : rm.resources)
@@ -360,44 +391,24 @@ FlowQueryResult solve_on_graph(const FlowQuery& query,
           std::min(query.multicast[i].requested, bottleneck);
       mc_grants[i][s] = grant;
       for (std::size_t r : rm.resources) residual[r] -= grant;
-      if (s == 2)
-        mc_satisfied[i] =
-            grant >= query.multicast[i].requested * (1 - 1e-9);
     }
 
     // Stage 2: variable flows, weighted max-min on the residual.
-    if (!query.variable.empty()) {
-      std::vector<netsim::MaxMinFlow> specs;
-      std::vector<std::size_t> index;  // into routed/grants
-      for (std::size_t i = 0; i < query.variable.size(); ++i) {
-        const std::size_t gi = query.fixed.size() + i;
-        if (!routed[gi].routable) continue;
-        netsim::MaxMinFlow spec;
-        spec.resources = routed[gi].resources;
-        spec.weight = std::max(routed[gi].request->requested, 1e-9);
-        specs.push_back(std::move(spec));
-        index.push_back(gi);
-      }
-      if (!specs.empty()) {
-        const auto result = netsim::max_min_allocate(residual, specs);
-        for (std::size_t k = 0; k < index.size(); ++k) {
-          grants[index[k]][s] = result.rates[k];
-          if (s == 2) satisfied_median[index[k]] = true;
-        }
-        residual = result.residual;
-      }
+    if (!specs.empty()) {
+      netsim::MaxMinResult result = netsim::max_min_allocate(residual, specs);
+      for (std::size_t k = 0; k < spec_flow.size(); ++k)
+        grants[spec_flow[k]][s] = result.rates[k];
+      residual = std::move(result.residual);
     }
 
     // Stage 3: the independent flow absorbs the leftover bottleneck.
     if (query.independent) {
-      const std::size_t gi = all.size() - 1;
-      RoutedFlow& rf = routed[gi];
+      const RoutedFlow& rf = routed[all.size() - 1];
       if (rf.routable) {
         double bottleneck = std::numeric_limits<double>::infinity();
-        for (std::size_t r : rf.resources)
+        for (std::size_t r : resources_of(rf))
           bottleneck = std::min(bottleneck, residual[r]);
-        grants[gi][s] = rf.resources.empty() ? 0.0 : bottleneck;
-        if (s == 2) satisfied_median[gi] = true;
+        grants[all.size() - 1][s] = rf.count == 0 ? 0.0 : bottleneck;
       }
     }
   }
@@ -410,8 +421,13 @@ FlowQueryResult solve_on_graph(const FlowQuery& query,
   if (trace) trace->close(solve_span);
 
   // Assemble results: quartiles across scenarios (scenario 0 = least
-  // background usage = highest grant, so reverse into ascending order).
+  // background usage = highest grant).  A fixed or multicast flow is
+  // satisfied if its median-scenario grant covers the request; variable
+  // and independent flows are satisfied whenever routable.
   obs::TraceBuilder::Scoped assemble_span(trace, "assemble");
+  const auto covers = [](double grant, double requested) {
+    return grant >= requested * (1 - 1e-9);
+  };
   auto to_result = [&](std::size_t i) {
     FlowResult out;
     out.request = *all[i];
@@ -420,35 +436,37 @@ FlowQueryResult solve_on_graph(const FlowQuery& query,
       if (metrics) metrics->unroutable_flows.inc();
       return out;
     }
-    std::vector<double> g(grants[i].begin(), grants[i].end());
-    out.bandwidth = Measurement::from_samples(g);
+    out.bandwidth = Measurement::from_samples(grants[i]);
     out.bandwidth.samples = routed[i].min_samples ==
                                     std::numeric_limits<std::size_t>::max()
                                 ? 1
                                 : routed[i].min_samples;
     out.bandwidth.accuracy = routed[i].min_accuracy;
     out.latency = Measurement::exact(routed[i].latency);
-    out.satisfied = satisfied_median[i];
+    out.satisfied = i >= query.fixed.size() ||
+                    covers(grants[i][2], out.request.requested);
     return out;
   };
 
   FlowQueryResult result;
+  result.fixed.reserve(query.fixed.size());
   for (std::size_t i = 0; i < query.fixed.size(); ++i)
     result.fixed.push_back(to_result(i));
+  result.multicast.reserve(query.multicast.size());
   for (std::size_t i = 0; i < query.multicast.size(); ++i) {
     MulticastResult out;
     out.request = query.multicast[i];
     out.routable = routed_mc[i].routable;
     if (!out.routable && metrics) metrics->unroutable_flows.inc();
     if (out.routable) {
-      std::vector<double> g(mc_grants[i].begin(), mc_grants[i].end());
-      out.bandwidth = Measurement::from_samples(g);
+      out.bandwidth = Measurement::from_samples(mc_grants[i]);
       out.bandwidth.accuracy = routed_mc[i].min_accuracy;
       out.latency = Measurement::exact(routed_mc[i].latency);
-      out.satisfied = mc_satisfied[i];
+      out.satisfied = covers(mc_grants[i][2], out.request.requested);
     }
     result.multicast.push_back(std::move(out));
   }
+  result.variable.reserve(query.variable.size());
   for (std::size_t i = 0; i < query.variable.size(); ++i)
     result.variable.push_back(to_result(query.fixed.size() + i));
   if (query.independent) result.independent = to_result(all.size() - 1);

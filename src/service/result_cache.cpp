@@ -1,47 +1,55 @@
 #include "service/result_cache.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <limits>
-#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 namespace remos::service {
 namespace {
 
-/// A key stream that prints doubles round-trippably: at the default six
-/// significant digits, 5'000'001 and 5'000'002 both print as 5e+06 and
-/// two different questions would share one cached answer.
-std::ostringstream key_stream() {
-  std::ostringstream out;
-  out.precision(std::numeric_limits<double>::max_digits10);
-  return out;
+void put(std::string& out, std::string_view text) { out += text; }
+void put(std::string& out, char c) { out += c; }
+/// Shortest round-trip form: distinct doubles never print alike, so two
+/// different questions never share a key.
+void put(std::string& out, double v) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
-void append(std::ostringstream& out, const core::Timeframe& t) {
-  out << "tf:" << static_cast<int>(t.kind) << ':' << t.window << ':'
-      << t.horizon << ';';
+/// Appends each part to the key.
+template <typename... Parts>
+void add(std::string& out, const Parts&... parts) {
+  (put(out, parts), ...);
 }
 
-void append(std::ostringstream& out, const core::FlowRequest& f) {
-  out << f.src << '>' << f.dst << '@' << f.requested << ';';
+void append(std::string& out, const core::Timeframe& t) {
+  add(out, "tf:", static_cast<char>('0' + static_cast<int>(t.kind)), ':',
+      t.window, ':', t.horizon, ';');
 }
 
-void append(std::ostringstream& out, const core::MulticastRequest& m) {
-  out << m.src << '>';
-  for (const std::string& d : m.dsts) out << d << ',';
-  out << '@' << m.requested << ';';
+void append(std::string& out, const core::FlowRequest& f) {
+  add(out, f.src, '>', f.dst, '@', f.requested, ';');
 }
 
-void append(std::ostringstream& out, const core::FlowQuery& q) {
-  out << "x:";
+void append(std::string& out, const core::MulticastRequest& m) {
+  add(out, m.src, '>');
+  for (const std::string& d : m.dsts) add(out, d, ',');
+  add(out, '@', m.requested, ';');
+}
+
+void append(std::string& out, const core::FlowQuery& q) {
+  add(out, "x:");
   for (const core::FlowRequest& f : q.fixed) append(out, f);
-  out << "|m:";
+  add(out, "|m:");
   for (const core::MulticastRequest& m : q.multicast) append(out, m);
-  out << "|v:";
+  add(out, "|v:");
   for (const core::FlowRequest& f : q.variable) append(out, f);
-  out << "|i:";
+  add(out, "|i:");
   if (q.independent) append(out, *q.independent);
-  out << '|';
+  add(out, '|');
   append(out, q.timeframe);
 }
 
@@ -56,40 +64,38 @@ void discount(Measurement& m, double factor) {
 }  // namespace
 
 std::string canonical_key(const GraphQuery& query) {
-  std::ostringstream out = key_stream();
-  out << "g|";
-  std::vector<std::string> nodes = query.nodes;
+  std::vector<std::string_view> nodes(query.nodes.begin(), query.nodes.end());
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  for (const std::string& n : nodes) out << n << ',';
-  out << '|';
+  std::string out = "g|";
+  for (const std::string_view n : nodes) add(out, n, ',');
+  add(out, '|');
   append(out, query.timeframe);
-  out << "o:" << query.options.collapse_chains << ':'
-      << query.options.keep_all << ':' << query.options.accuracy_halflife;
-  return out.str();
+  add(out, "o:", query.options.collapse_chains ? '1' : '0', ':',
+      query.options.keep_all ? '1' : '0', ':',
+      query.options.accuracy_halflife);
+  return out;
 }
 
 std::string canonical_key(const FlowInfoQuery& query) {
-  std::ostringstream out = key_stream();
-  out << "f|";
+  std::string out = "f|";
   append(out, query.query);
-  return out.str();
+  return out;
 }
 
 std::string canonical_key(const FlowBatchInfoQuery& query) {
   // Sub-query order is preserved: in shared mode the combined fixed-flow
   // admission order depends on it, and results are index-aligned either
   // way.
-  std::ostringstream out = key_stream();
-  out << "b|" << (query.batch.mode == core::FlowBatchQuery::Mode::kShared
-                      ? "s"
-                      : "i");
+  std::string out = "b|";
+  add(out, query.batch.mode == core::FlowBatchQuery::Mode::kShared ? 's'
+                                                                  : 'i');
   for (const core::FlowQuery& q : query.batch.queries) {
-    out << "|[";
+    add(out, "|[");
     append(out, q);
-    out << ']';
+    add(out, ']');
   }
-  return out.str();
+  return out;
 }
 
 void discount_accuracy(GraphResponse& response, double factor) {

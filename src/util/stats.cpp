@@ -20,7 +20,7 @@ QuartileSummary QuartileSummary::scaled(double factor) const {
 
 namespace {
 
-double quantile_sorted(const std::vector<double>& sorted, double q) {
+double quantile_sorted(std::span<const double> sorted, double q) {
   const std::size_t n = sorted.size();
   if (n == 1) return sorted[0];
   const double pos = q * static_cast<double>(n - 1);
@@ -28,6 +28,13 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
   const std::size_t hi = std::min(lo + 1, n - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+/// Five-number summary of a sorted, non-empty sample set.
+QuartileSummary quartiles_sorted(std::span<const double> sorted) {
+  return QuartileSummary{sorted.front(), quantile_sorted(sorted, 0.25),
+                         quantile_sorted(sorted, 0.5),
+                         quantile_sorted(sorted, 0.75), sorted.back()};
 }
 
 }  // namespace
@@ -42,9 +49,7 @@ double quantile(std::vector<double> samples, double q) {
 QuartileSummary quartiles_of(std::vector<double> samples) {
   if (samples.empty()) throw InvalidArgument("quartiles_of: empty sample set");
   std::sort(samples.begin(), samples.end());
-  return QuartileSummary{samples.front(), quantile_sorted(samples, 0.25),
-                         quantile_sorted(samples, 0.5),
-                         quantile_sorted(samples, 0.75), samples.back()};
+  return quartiles_sorted(samples);
 }
 
 Measurement Measurement::exact(double value) {
@@ -57,9 +62,16 @@ Measurement Measurement::exact(double value) {
 }
 
 Measurement Measurement::from_samples(const std::vector<double>& samples) {
+  std::vector<double> sorted = samples;
+  return summarize(samples, sorted);
+}
+
+Measurement Measurement::summarize(std::span<const double> samples,
+                                   std::span<double> sorted) {
   Measurement m;
   if (samples.empty()) return m;
-  m.quartiles = quartiles_of(samples);
+  std::sort(sorted.begin(), sorted.end());
+  m.quartiles = quartiles_sorted(sorted);
   double sum = 0;
   for (double x : samples) sum += x;
   m.mean = sum / static_cast<double>(samples.size());

@@ -7,7 +7,9 @@
 // sample-set reductions that produce it.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,8 +50,21 @@ struct Measurement {
   /// Summarizes a sample set.  Accuracy grows with sample count and falls
   /// with relative dispersion; empty input yields a zero, accuracy-0 value.
   static Measurement from_samples(const std::vector<double>& samples);
+  /// The same summary of a fixed-size sample set, bit for bit, without
+  /// allocating.
+  template <std::size_t N>
+  static Measurement from_samples(const std::array<double, N>& samples) {
+    std::array<double, N> sorted = samples;
+    return summarize(samples, sorted);
+  }
 
   bool known() const { return samples > 0; }
+
+ private:
+  /// from_samples' arithmetic: the mean of `samples` in their order, the
+  /// quartiles of `sorted` (a copy of them, sorted in place here).
+  static Measurement summarize(std::span<const double> samples,
+                               std::span<double> sorted);
 };
 
 /// Linear-interpolation quantile (R-7, the default in S and numpy) of an

@@ -56,6 +56,25 @@ bool graph_uses(const NetworkModel& m, const std::string& node) {
       .has_node(node);
 }
 
+/// "" if the routing index's by-id tables describe `m` as it is now:
+/// each id's ModelNode is the model's node of that name, and each model
+/// link's `a`-end id is its `a` end's id.  Otherwise the first mismatch.
+std::string tables_mismatch(const NetworkModel& m) {
+  const RoutingIndex& index = m.routing_index();
+  if (index.node_count() != m.nodes().size()) return "node count";
+  for (std::int32_t id = 0; id < static_cast<std::int32_t>(index.node_count());
+       ++id) {
+    const ModelNode& node = index.node(id);
+    if (&node != &m.node(index.name_of(id)) ||
+        node.is_router() != index.is_router(id))
+      return "node " + index.name_of(id);
+  }
+  for (std::size_t li = 0; li < m.links().size(); ++li)
+    if (index.link_a(li) != index.id_of(m.links()[li].a))
+      return "link " + m.links()[li].a + "--" + m.links()[li].b;
+  return "";
+}
+
 TEST(NetworkModel, NodeAndLinkBasics) {
   NetworkModel m;
   m.upsert_node("r1", true);
@@ -94,12 +113,14 @@ TEST(NetworkModel, RoutingIndexFollowsStructuralWrites) {
   ASSERT_EQ(route(m, "h1", "h2"), via_r2);
   ASSERT_TRUE(graph_uses(m, "r2"));
   ASSERT_FALSE(graph_uses(m, "r3"));
+  EXPECT_EQ(tables_mismatch(m), "");
 
   // The setter takes the link down and brings it back.
   m.set_link_up(*m.find_link("r1", "r2"), false);
   EXPECT_EQ(route(m, "h1", "h2"), via_r3);
   EXPECT_FALSE(graph_uses(m, "r2"));
   EXPECT_TRUE(graph_uses(m, "r3"));
+  EXPECT_EQ(tables_mismatch(m), "");
   m.set_link_up(*m.find_link("r1", "r2"), true);
   EXPECT_EQ(route(m, "h1", "h2"), via_r2);
   EXPECT_TRUE(graph_uses(m, "r2"));
@@ -113,6 +134,7 @@ TEST(NetworkModel, RoutingIndexFollowsStructuralWrites) {
   m.merge_from(diamond());
   EXPECT_EQ(route(m, "h1", "h2"), via_r2);
   EXPECT_TRUE(graph_uses(m, "r2"));
+  EXPECT_EQ(tables_mismatch(m), "");
 
   // A replication delta flips the flag on a replica.
   const NetworkModel up = diamond();
@@ -122,17 +144,35 @@ TEST(NetworkModel, RoutingIndexFollowsStructuralWrites) {
   apply_delta(m, decode_frame(encode_delta(down, 2, up, 3, 0.0)));
   EXPECT_EQ(route(m, "h1", "h2"), via_r2);
   EXPECT_TRUE(graph_uses(m, "r2"));
+  EXPECT_EQ(tables_mismatch(m), "");
 
   // Promoting a host lets it forward: h3 hangs off h1 only.
   m.upsert_node("h3", false);
   m.upsert_link("h1", "h3", mbps(100), millis(1));
   EXPECT_TRUE(route(m, "h2", "h3").empty());
+  EXPECT_EQ(tables_mismatch(m), "");
   m.upsert_node("h1", true);
   EXPECT_EQ(route(m, "h2", "h3"),
             (std::vector<std::string>{"h2", "r4", "r2", "r1", "h1", "h3"}));
+  EXPECT_TRUE(m.routing_index().is_router(m.routing_index().id_of("h1")));
+  EXPECT_EQ(tables_mismatch(m), "");
+
+  // Removing links and nodes shifts the link table and renumbers ids: a
+  // node named before every other ("a0") moves every id up by one.
+  m.upsert_node("a0", false);
+  m.upsert_link("a0", "r4", mbps(100), millis(1));
+  EXPECT_EQ(tables_mismatch(m), "");
+  ASSERT_TRUE(m.remove_link("r1", "r2"));
+  EXPECT_EQ(route(m, "h1", "h2"), via_r3);
+  EXPECT_EQ(tables_mismatch(m), "");
+  ASSERT_TRUE(m.remove_node("a0"));
+  EXPECT_EQ(tables_mismatch(m), "");
+  m.upsert_link("r2", "r1", mbps(100), millis(1));  // back, reversed
+  EXPECT_EQ(route(m, "h1", "h2"), via_r2);
+  EXPECT_EQ(tables_mismatch(m), "");
 
   // Measurement writes, and re-asserting a link's current state as every
-  // poll does, keep the cached index.
+  // poll does, keep the cached index; the node table reads them live.
   const RoutingIndex* cached = &m.routing_index();
   ModelLink& l = *m.find_link("r1", "r2");
   l.history.record(Sample{1.0, mbps(10), mbps(20)});
@@ -140,6 +180,8 @@ TEST(NetworkModel, RoutingIndexFollowsStructuralWrites) {
   m.set_link_up(l, true);
   m.node("r1").internal_bw = mbps(500);
   EXPECT_EQ(&m.routing_index(), cached);
+  EXPECT_EQ(cached->node(cached->id_of("r1")).internal_bw, mbps(500));
+  EXPECT_EQ(tables_mismatch(m), "");
 }
 
 TEST(LinkHistory, WindowingSelectsSamples) {

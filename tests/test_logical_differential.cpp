@@ -4,11 +4,13 @@
 // with a restart loop -- collapse the first eligible router in name
 // order, rebuild the incident map, start over -- kept verbatim, as the
 // repo keeps max_min_allocate beside the incremental solver.  The
-// id-based one-pass build must give the same graph bit for bit: node
-// set and fields, link order, orientation, abstracts and every
-// Measurement.  Each flow's route through the build's link table must
-// also match projecting the model's route onto the reference graph by
-// name, the way flows were routed before the link table.
+// id-based one-pass build, named by build_logical_graph, must give the
+// same graph bit for bit: node set and fields, link order, orientation,
+// abstracts and every Measurement.  The named graph must be the id-only
+// topology with names attached, in link-table order.  Each flow's route
+// through the build's link table must also match projecting the model's
+// route onto the named graph, the way flows were routed before the
+// link table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -348,17 +350,52 @@ std::string graph_mismatch(const NetworkGraph& want, const NetworkGraph& got) {
   return "";
 }
 
+/// "" if `graph` is `topo` named: its nodes in topo.nodes order, its
+/// links in link-table order with the same ends and fields, each link's
+/// abstracts the routers topo.hidden puts in it; otherwise the first
+/// difference.
+std::string table_order_mismatch(const RoutingIndex& index,
+                                 const LogicalTopology& topo,
+                                 const NetworkGraph& graph) {
+  if (graph.node_count() != topo.nodes.size()) return "table node count";
+  auto node = graph.nodes().begin();
+  for (const LogicalTopology::Node& n : topo.nodes) {
+    if (node->first != index.name_of(n.id) ||
+        !same(node->second.internal_bw,
+              n.internal_bw > 0 ? exactish(n.internal_bw) : Measurement{}))
+      return "table node " + index.name_of(n.id);
+    ++node;
+  }
+  if (graph.link_count() != topo.links.size()) return "table link count";
+  std::vector<std::vector<std::string>> hidden(topo.links.size());
+  for (const LogicalTopology::Hidden& h : topo.hidden)
+    hidden[h.link].push_back(index.name_of(h.router));
+  for (std::size_t i = 0; i < topo.links.size(); ++i) {
+    const LogicalTopology::Link& t = topo.links[i];
+    const GraphLink& g = graph.links()[i];
+    if (g.a != index.name_of(t.a) || g.b != index.name_of(t.b) ||
+        !same(g.capacity, exactish(t.capacity)) ||
+        !same(g.latency, exactish(t.latency)) || !same(g.used_ab, t.used_ab) ||
+        !same(g.used_ba, t.used_ba) || g.sharing != t.sharing ||
+        g.abstracts != hidden[i])
+      return "table link " + std::to_string(i);
+  }
+  return "";
+}
+
 /// "" if the link table routes every ordered pair of `group` as the
-/// reference projection does; otherwise the first difference.
+/// reference projection does; otherwise the first difference.  `graph`
+/// is `topo` named (table_order_mismatch).
 std::string route_mismatch(const NetworkModel& model,
                            const LogicalTopology& topo,
+                           const NetworkGraph& graph,
                            const std::vector<std::string>& group) {
   const RoutingIndex& index = model.routing_index();
   std::vector<LogicalTopology::Hop> hops;
   for (const std::string& a : group) {
     for (const std::string& b : group) {
       if (a == b) continue;
-      const auto want = reference_route(index, topo.graph, a, b);
+      const auto want = reference_route(index, graph, a, b);
       const bool routed =
           topo.route(index, index.id_of(a), index.id_of(b), hops);
       const std::string pair = a + "->" + b + ": ";
@@ -366,11 +403,10 @@ std::string route_mismatch(const NetworkModel& model,
       if (!routed) continue;
       if (hops.size() != want->link_indices.size()) return pair + "hop count";
       for (std::size_t k = 0; k < hops.size(); ++k) {
-        const GraphLink& l = topo.graph.links()[hops[k].link];
+        const GraphLink& l = graph.links()[hops[k].link];
         if (hops[k].link != want->link_indices[k] ||
             hops[k].forward != (want->nodes[k] == l.a) ||
-            topo.graph.links()[hops[k].link].a !=
-                (hops[k].forward ? want->nodes[k] : want->nodes[k + 1]))
+            l.a != (hops[k].forward ? want->nodes[k] : want->nodes[k + 1]))
           return pair + "hop " + std::to_string(k);
       }
     }
@@ -394,14 +430,17 @@ std::string build_mismatch(const NetworkModel& model,
   std::sort(ids.begin(), ids.end());
   const LogicalTopology got =
       build_logical_topology(model, ids, timeframe, now, predictor, options);
+  const NetworkGraph named =
+      build_logical_graph(model, group, timeframe, now, predictor, options);
   ++graphs;
-  if (std::string why = graph_mismatch(want, got.graph); !why.empty())
+  if (std::string why = graph_mismatch(want, named); !why.empty())
     return why;
-  if (graph_mismatch(want, build_logical_graph(model, group, timeframe, now,
-                                               predictor, options)) != "")
-    return "build_logical_graph differs from build_logical_topology";
+  if (std::string why =
+          table_order_mismatch(model.routing_index(), got, named);
+      !why.empty())
+    return why;
   if (options.keep_all) return "";  // pair routes need the pruned build
-  return route_mismatch(model, got, group);
+  return route_mismatch(model, got, named, group);
 }
 
 // --- inputs -------------------------------------------------------------
@@ -655,8 +694,11 @@ TEST(LogicalDifferentialShapes, RouteRefusesWhatTheBuildDidNotKeep) {
   std::vector<LogicalTopology::Hop> hops;
   ASSERT_TRUE(topo.route(index, index.id_of("h2"), index.id_of("h1"), hops));
   ASSERT_EQ(hops.size(), 1u);  // three model links, one logical hop
-  EXPECT_EQ(topo.graph.links()[hops[0].link].abstracts,
-            (std::vector<std::string>{"j1", "j2"}));
+  ASSERT_EQ(topo.hidden.size(), 2u);
+  for (const LogicalTopology::Hidden& h : topo.hidden)
+    EXPECT_EQ(h.link, hops[0].link);
+  EXPECT_EQ(index.name_of(topo.hidden[0].router), "j1");
+  EXPECT_EQ(index.name_of(topo.hidden[1].router), "j2");
   EXPECT_EQ(topo.far_end(hops[0]), index.id_of("h1"));
   // Off the kept links, unreachable, or unknown: no route.
   EXPECT_FALSE(topo.route(index, index.id_of("h1"), index.id_of("h3"), hops));

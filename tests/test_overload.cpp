@@ -439,6 +439,36 @@ TEST(ResultCache, KeysPrintDoublesExactly) {
   EXPECT_NE(canonical_key(l1), canonical_key(l2));
 }
 
+TEST(ResultCache, AdjacentDoublesGiveDistinctKeys) {
+  // Neighbouring doubles differ only in the last bit: shortest
+  // round-trip printing still tells them apart.
+  const double rate = mbps(5);
+  const double above = std::nextafter(rate, 2 * rate);
+  FlowInfoQuery a;
+  a.query.fixed = {core::FlowRequest{"a", "b", rate}};
+  FlowInfoQuery b = a;
+  b.query.fixed[0].requested = above;
+  EXPECT_NE(canonical_key(a), canonical_key(b));
+  FlowBatchInfoQuery ba;
+  ba.batch.queries = {a.query};
+  FlowBatchInfoQuery bb;
+  bb.batch.queries = {b.query};
+  EXPECT_NE(canonical_key(ba), canonical_key(bb));
+
+  const double window = 10.0;
+  GraphQuery w1 = graph_query({"a", "b"});
+  w1.timeframe = core::Timeframe::history(window);
+  GraphQuery w2 = graph_query({"a", "b"});
+  w2.timeframe = core::Timeframe::history(std::nextafter(window, 0.0));
+  EXPECT_NE(canonical_key(w1), canonical_key(w2));
+  FlowInfoQuery f1 = a;
+  f1.query.timeframe = w1.timeframe;
+  FlowInfoQuery f2 = a;
+  f2.query.timeframe = w2.timeframe;
+  EXPECT_NE(canonical_key(f1), canonical_key(f2));
+  EXPECT_EQ(canonical_key(f1), canonical_key(FlowInfoQuery(f1)));
+}
+
 // --- ResultCache: service integration ---------------------------------
 
 QueryService::Options cached_options() {
