@@ -7,9 +7,8 @@
 // The whole binary's operator new is instrumented with a gated counter
 // (as in test_maxmin_differential.cpp).  Counts do not depend on the
 // machine, so the ceilings below can be tight: they sit a little above
-// what the id-only flow path makes (67 and 100 at worst on these
-// queries), and far below what the name-keyed build made on the same
-// queries (396 and 653).
+// what the flow path makes (67 and 100 at worst on these queries), so
+// an allocation per kept link or per answered flow breaks them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
