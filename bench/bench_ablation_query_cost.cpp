@@ -68,7 +68,7 @@ int main() {
 
   for (const std::size_t n : {4u, 8u, 16u, 32u, 48u}) {
     collector::StaticCollector source(tree_model(n));
-    core::Modeler modeler(source);
+    core::Modeler modeler(source.model());
     const auto hosts = host_names(n);
 
     // Best of several repetitions per approach (scheduler noise on this

@@ -31,7 +31,7 @@ collector::NetworkModel figure1_model(BitsPerSec backplane) {
 
 void evaluate(BitsPerSec backplane, const char* reading) {
   collector::StaticCollector source(figure1_model(backplane));
-  core::Modeler modeler(source);
+  core::Modeler modeler(source.model());
 
   std::cout << "--- internal bandwidth of A and B: "
             << to_mbps(backplane) << " Mbps (" << reading << ") ---\n";

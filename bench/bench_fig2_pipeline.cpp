@@ -38,7 +38,8 @@ int main() {
   collector::CollectorSet set;
   set.add(harness.collector());
   set.add(probes);
-  core::Modeler modeler(set);
+  const collector::NetworkModel merged = set.merged();
+  core::Modeler modeler(merged);
   modeler.set_clock([&] { return harness.sim().now(); });
 
   std::cout << "Figure 2: two cooperating collectors feeding one modeler\n\n";
@@ -58,7 +59,6 @@ int main() {
   row({"probe cost (sim s/round)", "-",
        fixed(probes.last_poll_duration(), 3)},
       w);
-  const collector::NetworkModel merged = set.merged();
   std::cout << "\nmerged model: " << merged.nodes().size() << " nodes, "
             << merged.links().size()
             << " links (physical + logical pair links)\n";

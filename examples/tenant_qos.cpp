@@ -10,7 +10,8 @@
 // brown out (kDegraded: the last good answer, accuracy discounted by
 // age) instead of failing dry.  The batch client wraps its calls in
 // RemosClient, whose retry budget caps amplification near 1x even while
-// most of its attempts are being shed.
+// most of its attempts are being shed.  The metrics exposition at the end
+// carries each tenant's admitted and shed counts.
 //
 //   ./tenant_qos
 #include <algorithm>
@@ -149,5 +150,9 @@ int main() {
           1.3 * static_cast<double>(std::max<std::uint64_t>(1, cs.requests));
   std::cout << (isolated ? "\ntenant isolation held\n"
                          : "\ntenant isolation VIOLATED\n");
+
+  // The exposition, scrape-ready: CI checks the per-tenant series.
+  std::cout << "\n--- metrics ---\n"
+            << harness.metrics().render() << "--- end metrics ---\n";
   return isolated ? 0 : 1;
 }

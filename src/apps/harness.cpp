@@ -23,7 +23,7 @@ CmuHarness::CmuHarness(Options options)
       injector_(options.seed ^ 0xFA017),
       collector_(transport_, netsim::CmuNames::routers(),
                  options.collector),
-      modeler_(collector_) {
+      modeler_(collector_.model()) {
   // Management time is simulator time; fault windows, breaker cooldowns
   // and staleness ages all share one clock.
   transport_.set_clock([this] { return sim_.now(); });

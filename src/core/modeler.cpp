@@ -37,13 +37,7 @@ ModelerObs ModelerObs::resolve(const obs::Obs& o) {
   return m;
 }
 
-Modeler::Modeler(const collector::Collector& collector)
-    : single_(&collector) {}
-
-Modeler::Modeler(const collector::CollectorSet& set) : set_(&set) {}
-
-Modeler::Modeler(const collector::NetworkModel& snapshot)
-    : snapshot_(&snapshot) {}
+Modeler::Modeler(const collector::NetworkModel& model) : model_(model) {}
 
 void Modeler::set_clock(std::function<Seconds()> clock) {
   clock_ = std::move(clock);
@@ -52,13 +46,6 @@ void Modeler::set_clock(std::function<Seconds()> clock) {
 void Modeler::set_predictor(std::unique_ptr<Predictor> predictor) {
   if (!predictor) throw InvalidArgument("set_predictor: null predictor");
   predictor_ = std::move(predictor);
-}
-
-const collector::NetworkModel& Modeler::model() const {
-  if (snapshot_) return *snapshot_;
-  if (single_) return single_->model();
-  merged_cache_ = set_->merged();
-  return merged_cache_;
 }
 
 Seconds Modeler::now(const collector::NetworkModel& m) const {
@@ -82,7 +69,7 @@ GraphResult Modeler::get_graph_result(const std::vector<std::string>& nodes,
     return out;
   }
   queries_answered_.fetch_add(1, std::memory_order_relaxed);
-  const collector::NetworkModel& m = model();
+  const collector::NetworkModel& m = model_;
 
   // Partition the queried names so one typo degrades the answer instead
   // of aborting it.
@@ -496,7 +483,7 @@ FlowQueryResult Modeler::flow_info(const FlowQuery& query) const {
   // model does not know make their flows structured routable=false
   // results instead of a NotFoundError escaping the query API
   // mid-session; the logical graph is built over the known ones.
-  const collector::NetworkModel& m = model();
+  const collector::NetworkModel& m = model_;
   const collector::RoutingIndex& routing = m.routing_index();
   const FlowEndpoints ends = resolve_endpoints(query, routing);
   const LogicalTopology topo =
@@ -581,7 +568,7 @@ FlowBatchResult Modeler::flow_info_batch(const FlowBatchQuery& batch) const {
     auto operator<=>(const GroupKey&) const = default;
   };
   std::map<GroupKey, LogicalTopology> groups;
-  const collector::NetworkModel& m = model();
+  const collector::NetworkModel& m = model_;
   const collector::RoutingIndex& routing = m.routing_index();
   for (std::size_t i = 0; i < batch.queries.size(); ++i) {
     const FlowQuery& q = batch.queries[i];

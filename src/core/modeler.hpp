@@ -6,15 +6,13 @@
 // with each of the network components, and satisfying flow requests based
 // on the logical topology."
 //
-// The Modeler holds no measurement state of its own.  It serves from one
-// of three sources:
-//   - a live Collector (reads the collector's model at query time);
-//   - a CollectorSet (re-merges the cooperating views at query time);
-//   - an immutable NetworkModel snapshot (service mode).
-// Snapshot mode is fully const and touches no shared mutable state, so
-// any number of threads may query the same snapshot-backed Modeler (or
-// per-thread Modelers over the same snapshot) concurrently -- this is the
-// hot path of service::QueryService.  The live modes remain
+// The Modeler holds no measurement state of its own.  It reads one
+// NetworkModel, which must outlive it: a live collector's model
+// (Modeler(collector.model()) sees every poll at query time), a merged
+// CollectorSet view, or an immutable snapshot (service mode).  Queries
+// are const and write nothing shared, so any number of threads may
+// query Modelers over a model that nobody mutates -- the hot path of
+// service::QueryService.  Over a live collector's model they stay
 // single-threaded: a query concurrent with a poll would observe torn
 // collector state.
 #pragma once
@@ -23,8 +21,7 @@
 #include <functional>
 #include <memory>
 
-#include "collector/collector.hpp"
-#include "collector/collector_set.hpp"
+#include "collector/network_model.hpp"
 #include "core/flows.hpp"
 #include "core/graph.hpp"
 #include "core/logical.hpp"
@@ -71,13 +68,12 @@ struct ModelerObs {
 
 class Modeler {
  public:
-  /// Serves queries from one collector's live model.
-  explicit Modeler(const collector::Collector& collector);
-  /// Serves queries from the merged view of cooperating collectors.
-  explicit Modeler(const collector::CollectorSet& set);
-  /// Serves queries from an immutable model snapshot (must outlive the
-  /// Modeler).  All queries are const-correct reads of the snapshot.
-  explicit Modeler(const collector::NetworkModel& snapshot);
+  /// Serves queries from `model` (must outlive the Modeler).  All
+  /// queries are const reads of it.
+  explicit Modeler(const collector::NetworkModel& model);
+  /// A temporary model (say `set.merged()`) would dangle: keep it in a
+  /// variable first.
+  explicit Modeler(collector::NetworkModel&&) = delete;
 
   /// Queries are windowed relative to "now"; by default that is the
   /// newest sample timestamp in the model.  Wire the simulator clock in
@@ -150,7 +146,6 @@ class Modeler {
   }
 
  private:
-  const collector::NetworkModel& model() const;
   Seconds now(const collector::NetworkModel& m) const;
   /// Logical topology over the known flow endpoints (RoutingIndex ids,
   /// ascending), exactly as a lone flow_info builds it (no endpoints ->
@@ -159,10 +154,7 @@ class Modeler {
                                    const std::vector<std::int32_t>& known,
                                    const Timeframe& timeframe) const;
 
-  const collector::Collector* single_ = nullptr;
-  const collector::CollectorSet* set_ = nullptr;
-  const collector::NetworkModel* snapshot_ = nullptr;
-  mutable collector::NetworkModel merged_cache_;
+  const collector::NetworkModel& model_;
   std::function<Seconds()> clock_;
   std::unique_ptr<Predictor> predictor_ = make_default_predictor();
   mutable std::atomic<std::size_t> queries_answered_{0};

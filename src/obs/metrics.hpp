@@ -10,6 +10,10 @@
 // handles at wiring time and increment on the hot path for ~one
 // fetch_add.  A default-constructed handle is a no-op sink, so
 // instrumented code runs unchanged when observability is not wired.
+// Components whose Stats report counts keep counting when unwired: they
+// resolve those counters against a registry they own, and wiring
+// re-points the handles at the deployment's registry, so each event is
+// counted in exactly one cell.
 //
 // Resolution is idempotent: asking for the same (name, labels) returns a
 // handle onto the same cells, which is also how tests and scrapers read
@@ -31,6 +35,13 @@ namespace remos::obs {
 
 /// Label set attached to one series, e.g. {{"status", "answered"}}.
 using Labels = std::vector<std::pair<std::string, std::string>>;
+
+/// `labels` plus one pair: an instance's labels (say {replica}) extended
+/// by the key that splits its family (say {status}).
+inline Labels with_label(Labels labels, std::string key, std::string value) {
+  labels.emplace_back(std::move(key), std::move(value));
+  return labels;
+}
 
 class MetricsRegistry;
 

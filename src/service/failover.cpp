@@ -13,26 +13,28 @@ FailoverCoordinator::FailoverCoordinator(std::vector<ReplicaStore*> replicas,
                                          Options options, obs::Obs obs)
     : replicas_(std::move(replicas)), options_(options) {
   recorder_ = obs.recorder;
-  if (obs.metrics) {
-    reroutes_counter_ = obs.metrics->counter(
-        "remos_failover_reroutes_total", {},
-        "Queries answered by other than the first replica tried.");
-    exhausted_counter_ = obs.metrics->counter(
-        "remos_failover_exhausted_total", {},
-        "Queries that burned every attempt without an ok answer.");
-    unrouted_counter_ = obs.metrics->counter(
-        "remos_failover_unrouted_total", {},
-        "Queries with no routable replica (synthesized kError).");
-    degraded_fallback_counter_ = obs.metrics->counter(
-        "remos_failover_degraded_fallback_total", {},
-        "Queries answered by an unhealthy-but-serving fallback replica.");
-    fast_expired_counter_ = obs.metrics->counter(
-        "remos_failover_fast_expired_total", {},
-        "Queries failed fast: deadline below one minimum attempt slice.");
+  obs::MetricsRegistry& m = obs.metrics ? *obs.metrics : own_metrics_;
+  queries_ = m.counter("remos_failover_queries_total", {},
+                       "Queries routed through the coordinator.");
+  rerouted_ = m.counter(
+      "remos_failover_reroutes_total", {},
+      "Queries answered by other than the first replica tried.");
+  exhausted_ = m.counter(
+      "remos_failover_exhausted_total", {},
+      "Queries that burned every attempt without an ok answer.");
+  unrouted_ = m.counter(
+      "remos_failover_unrouted_total", {},
+      "Queries with no routable replica (synthesized kError).");
+  degraded_fallback_ = m.counter(
+      "remos_failover_degraded_fallback_total", {},
+      "Queries answered by an unhealthy-but-serving fallback replica.");
+  fast_expired_ = m.counter(
+      "remos_failover_fast_expired_total", {},
+      "Queries failed fast: deadline below one minimum attempt slice.");
+  if (obs.metrics)
     healthy_gauge_ =
         obs.metrics->gauge("remos_failover_healthy_replicas", {},
                            "Replicas currently in the routing rotation.");
-  }
 }
 
 bool FailoverCoordinator::healthy(std::size_t i) const {
@@ -44,11 +46,6 @@ bool FailoverCoordinator::healthy(std::size_t i) const {
       primary_version_.load(std::memory_order_acquire);
   if (primary > applied && primary - applied > options_.max_lag_versions)
     return false;
-  if (options_.heartbeat_timeout > 0) {
-    const Seconds beat = r->last_applied_at();
-    const Seconds now = model_now_.load(std::memory_order_acquire);
-    if (beat < 0 || now - beat > options_.heartbeat_timeout) return false;
-  }
   return true;
 }
 
@@ -61,7 +58,6 @@ std::size_t FailoverCoordinator::healthy_count() const {
 
 void FailoverCoordinator::note_publish(std::uint64_t version, Seconds now) {
   primary_version_.store(version, std::memory_order_release);
-  model_now_.store(now, std::memory_order_release);
   const std::size_t n = healthy_count();
   healthy_gauge_.set(static_cast<double>(n));
   if (n == 0 && !degraded_) {
@@ -80,12 +76,11 @@ void FailoverCoordinator::note_publish(std::uint64_t version, Seconds now) {
 
 template <typename Response, typename Query, typename Fn>
 Response FailoverCoordinator::route(Query& query, Fn&& call) {
-  queries_.fetch_add(1, std::memory_order_relaxed);
+  queries_.inc();
   const std::size_t n = replicas_.size();
   Response last{};
   if (n == 0) {
-    unrouted_.fetch_add(1, std::memory_order_relaxed);
-    unrouted_counter_.inc();
+    unrouted_.inc();
     last.meta.status = QueryStatus::kError;
     last.meta.error = "failover: no replica available";
     return last;
@@ -100,8 +95,7 @@ Response FailoverCoordinator::route(Query& query, Fn&& call) {
     // Clamp: fewer, viable attempts beat many doomed ones.  A budget that
     // cannot cover even one slice fails fast without touching a replica.
     if (total < options_.min_attempt_slice) {
-      fast_expired_.fetch_add(1, std::memory_order_relaxed);
-      fast_expired_counter_.inc();
+      fast_expired_.inc();
       last.meta.status = QueryStatus::kExpired;
       last.meta.error = "failover: deadline below minimum attempt slice";
       return last;
@@ -133,14 +127,8 @@ Response FailoverCoordinator::route(Query& query, Fn&& call) {
         // A reroute is any answer served by other than round-robin's
         // natural pick -- whether that pick was skipped as unhealthy or
         // tried and failed.
-        if (i != start % n) {
-          rerouted_.fetch_add(1, std::memory_order_relaxed);
-          reroutes_counter_.inc();
-        }
-        if (pass == 1) {
-          degraded_fallback_.fetch_add(1, std::memory_order_relaxed);
-          degraded_fallback_counter_.inc();
-        }
+        if (i != start % n) rerouted_.inc();
+        if (pass == 1) degraded_fallback_.inc();
         return resp;
       }
       last = std::move(resp);
@@ -148,13 +136,11 @@ Response FailoverCoordinator::route(Query& query, Fn&& call) {
   }
 
   if (attempts == 0) {
-    unrouted_.fetch_add(1, std::memory_order_relaxed);
-    unrouted_counter_.inc();
+    unrouted_.inc();
     last.meta.status = QueryStatus::kError;
     last.meta.error = "failover: no replica available";
   } else {
-    exhausted_.fetch_add(1, std::memory_order_relaxed);
-    exhausted_counter_.inc();
+    exhausted_.inc();
   }
   return last;
 }
@@ -182,12 +168,12 @@ FlowBatchResponse FailoverCoordinator::flow_info_batch(
 
 FailoverCoordinator::Stats FailoverCoordinator::stats() const {
   Stats s;
-  s.queries = queries_.load(std::memory_order_relaxed);
-  s.rerouted = rerouted_.load(std::memory_order_relaxed);
-  s.exhausted = exhausted_.load(std::memory_order_relaxed);
-  s.unrouted = unrouted_.load(std::memory_order_relaxed);
-  s.degraded_fallback = degraded_fallback_.load(std::memory_order_relaxed);
-  s.fast_expired = fast_expired_.load(std::memory_order_relaxed);
+  s.queries = queries_.value();
+  s.rerouted = rerouted_.value();
+  s.exhausted = exhausted_.value();
+  s.unrouted = unrouted_.value();
+  s.degraded_fallback = degraded_fallback_.value();
+  s.fast_expired = fast_expired_.value();
   return s;
 }
 
@@ -253,7 +239,8 @@ void ReplicatedService::publish(const collector::NetworkModel& model,
   // channel still converges from scratch within one anchor period.
   std::vector<std::uint8_t> wire;
   bool is_full = true;
-  if (base_ && (options_.full_every == 0 || v % options_.full_every != 1)) {
+  if (base_ &&
+      (options_.full_every == 0 || (v - 1) % options_.full_every != 0)) {
     wire = collector::encode_delta(base_->model, base_->version, snap->model,
                                    v, now);
     is_full = false;

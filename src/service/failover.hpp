@@ -3,8 +3,8 @@
 //
 // The FailoverCoordinator is the piece a network-aware application links
 // against when the Modeler is replicated: it health-checks replicas
-// (serving flag, applied-version lag against the primary, applied-frame
-// heartbeat) and routes each query to a healthy replica round-robin,
+// (serving flag, pending resync, applied-version lag against the
+// primary) and routes each query to a healthy replica round-robin,
 // retrying the next one on failure with a per-attempt slice of the
 // caller's deadline -- so a crashed or partitioned replica mid-fault-storm
 // costs a reroute, not a blown p99.  Failover state machine per replica:
@@ -12,8 +12,8 @@
 //          frames applied, lag small
 //        ┌──────────── HEALTHY ◄───────────┐
 //        │ in rotation   │                 │ full frame applied
-//        │               │ gap / lag /     │ (resync)
-//        ▼               │ heartbeat stale │
+//        │               │ gap / lag       │ (resync)
+//        ▼               │                 │
 //   serves queries       ▼                 │
 //                     DEGRADED ────────────┘
 //                  fallback only │
@@ -39,10 +39,6 @@ class FailoverCoordinator : public FlowInfoEndpoint {
     /// A replica trailing the primary by more than this many versions is
     /// unhealthy (it still serves as a stale fallback).
     std::uint64_t max_lag_versions = 8;
-    /// Model-clock heartbeat budget: a replica whose newest applied
-    /// frame is older than this against the publish clock is unhealthy.
-    /// <= 0 disables the heartbeat check.
-    Seconds heartbeat_timeout = 0;
     /// Distinct replicas tried per query; the caller's deadline is
     /// divided evenly across attempts so retries stay inside it.
     int max_attempts = 3;
@@ -54,11 +50,13 @@ class FailoverCoordinator : public FlowInfoEndpoint {
     std::chrono::microseconds min_attempt_slice{1'000};
   };
 
+  /// The Stats counters live in `obs.metrics` when given, else in a
+  /// registry the coordinator owns.
   FailoverCoordinator(std::vector<ReplicaStore*> replicas, Options options,
                       obs::Obs obs = {});
 
-  /// Publisher-thread tick: anchors lag and heartbeat checks, maintains
-  /// the healthy-replica gauge, and edge-detects total degradation.
+  /// Publisher-thread tick: anchors the lag check, maintains the
+  /// healthy-replica gauge, and edge-detects total degradation.
   void note_publish(std::uint64_t version, Seconds now);
 
   /// Query entry points (FlowInfoEndpoint), callable from any thread.
@@ -71,10 +69,11 @@ class FailoverCoordinator : public FlowInfoEndpoint {
   FlowInfoResponse flow_info(FlowInfoQuery query) override;
   FlowBatchResponse flow_info_batch(FlowBatchInfoQuery query) override;
 
-  /// In rotation: serving, synced, within lag and heartbeat budgets.
+  /// In rotation: serving, synced, within the lag budget.
   bool healthy(std::size_t i) const;
   std::size_t healthy_count() const;
 
+  /// Each field reads its remos_failover_* counter.
   struct Stats {
     std::uint64_t queries = 0;
     /// Queries answered by other than the first replica tried.
@@ -100,22 +99,17 @@ class FailoverCoordinator : public FlowInfoEndpoint {
   Options options_;
 
   std::atomic<std::uint64_t> primary_version_{0};
-  std::atomic<double> model_now_{0.0};
   std::atomic<std::uint64_t> cursor_{0};
 
-  std::atomic<std::uint64_t> queries_{0};
-  std::atomic<std::uint64_t> rerouted_{0};
-  std::atomic<std::uint64_t> exhausted_{0};
-  std::atomic<std::uint64_t> unrouted_{0};
-  std::atomic<std::uint64_t> degraded_fallback_{0};
-  std::atomic<std::uint64_t> fast_expired_{0};
+  obs::MetricsRegistry own_metrics_;  // the counters' home when unwired
+  obs::Counter queries_;
+  obs::Counter rerouted_;
+  obs::Counter exhausted_;
+  obs::Counter unrouted_;
+  obs::Counter degraded_fallback_;
+  obs::Counter fast_expired_;
 
   obs::FlightRecorder* recorder_ = nullptr;
-  obs::Counter reroutes_counter_;
-  obs::Counter exhausted_counter_;
-  obs::Counter unrouted_counter_;
-  obs::Counter degraded_fallback_counter_;
-  obs::Counter fast_expired_counter_;
   obs::Gauge healthy_gauge_;
   bool degraded_ = false;  // publisher thread only (edge detector)
 };
@@ -130,8 +124,9 @@ class ReplicatedService {
     std::size_t replicas = 3;
     /// Options for each replica's embedded QueryService.
     QueryService::Options service;
-    /// Every full_every-th version ships as a full frame (delta anchor);
-    /// other versions ship as deltas against the previous version.
+    /// Every full_every-th version (1, 1 + full_every, ...) ships as a
+    /// full frame (delta anchor); other versions ship as deltas against
+    /// the previous version.  0 ships only version 1 full.
     std::uint64_t full_every = 32;
     FailoverCoordinator::Options failover;
     std::uint64_t seed = 0x5EB05;

@@ -50,6 +50,7 @@ QueryService::QueryService(Options options)
       ResultCache<FlowInfoResponse>::Options{options_.cache_capacity});
   batch_cache_ = std::make_unique<ResultCache<FlowBatchResponse>>(
       ResultCache<FlowBatchResponse>::Options{options_.cache_capacity});
+  resolve_counters(own_metrics_, {});
 }
 
 QueryService::~QueryService() { stop(); }
@@ -58,54 +59,52 @@ int QueryService::register_tenant(const std::string& name, double weight) {
   return admission_.register_tenant(name, weight);
 }
 
-void QueryService::set_obs(const obs::Obs& o) {
+void QueryService::resolve_counters(obs::MetricsRegistry& metrics,
+                                    const obs::Labels& labels) {
+  for (int s = 0; s < obs::kQueryStatusCount; ++s)
+    status_counters_[static_cast<std::size_t>(s)] = metrics.counter(
+        "remos_service_queries_total",
+        obs::with_label(labels, "status",
+                        obs::to_string(static_cast<QueryStatus>(s))),
+        "Query outcomes by client-visible status");
+  submitted_counter_ =
+      metrics.counter("remos_service_queries_submitted_total", labels,
+                      "Queries offered to admission control");
+  polls_counter_ = metrics.counter("remos_service_polls_total", labels,
+                                   "Background poll steps executed");
+  cache_hit_counter_ = metrics.counter(
+      "remos_service_cache_hits_total", labels,
+      "Fresh result-cache hits (current snapshot version)");
+  batch_counter_ = metrics.counter(
+      "remos_service_batch_queries_total", labels,
+      "Explicit flow_info_batch calls, however many sub-queries each");
+}
+
+void QueryService::set_obs(const obs::Obs& o, const obs::Labels& labels) {
   if (o.metrics) {
-    for (int s = 0; s < obs::kQueryStatusCount; ++s)
-      status_counters_[static_cast<std::size_t>(s)] = o.metrics->counter(
-          "remos_service_queries_total",
-          {{"status", obs::to_string(static_cast<QueryStatus>(s))}},
-          "Query outcomes by client-visible status");
-    submitted_counter_ =
-        o.metrics->counter("remos_service_queries_submitted_total", {},
-                           "Queries offered to admission control");
-    polls_counter_ = o.metrics->counter(
-        "remos_service_polls_total", {}, "Background poll steps executed");
+    resolve_counters(*o.metrics, labels);
+    admission_.set_metrics(*o.metrics, labels);
     queue_depth_gauge_ = o.metrics->gauge(
-        "remos_service_queue_depth", {}, "Jobs enqueued awaiting a worker");
+        "remos_service_queue_depth", labels, "Jobs enqueued awaiting a worker");
     snapshot_version_gauge_ =
-        o.metrics->gauge("remos_service_snapshot_version", {},
+        o.metrics->gauge("remos_service_snapshot_version", labels,
                          "Version of the current published snapshot");
     snapshot_age_gauge_ = o.metrics->gauge(
-        "remos_service_snapshot_age_seconds", {},
+        "remos_service_snapshot_age_seconds", labels,
         "Model-clock age of the snapshot at the last answer");
     latency_ = o.metrics->histogram(
-        "remos_service_latency_seconds", obs::default_time_buckets(), {},
+        "remos_service_latency_seconds", obs::default_time_buckets(), labels,
         "Wall-clock submission-to-response latency of executed queries");
     deadline_slack_ = o.metrics->histogram(
         "remos_service_deadline_slack_seconds", obs::default_time_buckets(),
-        {}, "Wall-clock budget remaining when the answer landed");
-    cache_hit_counter_ = o.metrics->counter(
-        "remos_service_cache_hits_total", {},
-        "Fresh result-cache hits (current snapshot version)");
+        labels, "Wall-clock budget remaining when the answer landed");
     brownout_counter_ = o.metrics->counter(
-        "remos_service_brownouts_total", {},
+        "remos_service_brownouts_total", labels,
         "Queries answered from the cache with kDegraded instead of shed");
     budget_gauge_ = o.metrics->gauge(
-        "remos_service_admission_budget", {},
+        "remos_service_admission_budget", labels,
         "Current global admission budget (AIMD-resized when adaptive)");
     budget_gauge_.set(static_cast<double>(admission_.capacity()));
-    const std::size_t tenants = admission_.tenant_count();
-    tenant_admitted_counters_.clear();
-    tenant_shed_counters_.clear();
-    for (std::size_t t = 0; t < tenants; ++t) {
-      const auto ts = admission_.tenant_stats(static_cast<int>(t));
-      tenant_admitted_counters_.push_back(o.metrics->counter(
-          "remos_service_tenant_admitted_total", {{"tenant", ts.name}},
-          "Queries admitted, by tenant"));
-      tenant_shed_counters_.push_back(o.metrics->counter(
-          "remos_service_tenant_shed_total", {{"tenant", ts.name}},
-          "Queries shed at admission, by tenant"));
-    }
     modeler_obs_ = core::ModelerObs::resolve(o);
   }
   if (o.series) {
@@ -178,37 +177,6 @@ void QueryService::note_model_now(Seconds model_now) {
   }
 }
 
-void QueryService::count_outcome(QueryStatus status) {
-  status_counters_[static_cast<std::size_t>(status)].inc();
-  switch (status) {
-    case QueryStatus::kAnswered:
-      answered_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case QueryStatus::kStale:
-      stale_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case QueryStatus::kDegraded:
-      degraded_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case QueryStatus::kOverloaded:
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case QueryStatus::kExpired:
-      expired_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case QueryStatus::kError:
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
-}
-
-void QueryService::count_tenant(int tenant, bool admitted) {
-  auto& counters =
-      admitted ? tenant_admitted_counters_ : tenant_shed_counters_;
-  const std::size_t i = static_cast<std::size_t>(tenant);
-  if (tenant >= 0 && i < counters.size()) counters[i].inc();
-}
-
 void QueryService::note_shed(bool shed) {
   // Edge-triggered: the recorder logs shed *episodes*, not every shed
   // query -- an overload burst is one event in, one event out.
@@ -255,7 +223,6 @@ void QueryService::run_job(const std::shared_ptr<Pending<Response>>& state,
 template <typename Response, typename Query, typename Solve>
 Response QueryService::submit(ResultCache<Response>* cache, Query query,
                               Solve solve) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
   submitted_counter_.inc();
   const Seconds slo = query.max_staleness.value_or(options_.staleness_slo);
   // Traced queries bypass the cache: the caller asked to watch this very
@@ -264,7 +231,6 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
                                                      : std::string{};
   if (!key.empty()) {
     if (std::optional<Response> hit = cache_fresh_hit(cache, key, slo)) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
       cache_hit_counter_.inc();
       count_outcome(hit->meta.status);
       return std::move(*hit);
@@ -277,7 +243,6 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
   const int tenant = query.tenant;
   Response r;
   if (!admission_.try_acquire(tenant)) {
-    count_tenant(tenant, false);
     if (shed_series_) shed_series_->append(model_now(), 1.0);
     note_shed(true);
     // Brownout rung: a cached answer with discounted accuracy beats a
@@ -293,7 +258,6 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
     count_outcome(r.meta.status);
     return r;
   }
-  count_tenant(tenant, true);
   if (shed_series_) shed_series_->append(model_now(), 0.0);
   note_shed(false);
 
@@ -494,7 +458,7 @@ FlowInfoResponse QueryService::flow_info(FlowInfoQuery query) {
 }
 
 FlowBatchResponse QueryService::flow_info_batch(FlowBatchInfoQuery query) {
-  batch_queries_.fetch_add(1, std::memory_order_relaxed);
+  batch_counter_.inc();
   // The whole batch is ONE admission unit: one tenant slot, one queue
   // entry, one solve -- that is the amortization the batch API sells.
   return submit(batch_cache_.get(), std::move(query),
@@ -508,17 +472,20 @@ FlowBatchResponse QueryService::flow_info_batch(FlowBatchInfoQuery query) {
 
 ServiceStats QueryService::stats() const {
   ServiceStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.answered = answered_.load(std::memory_order_relaxed);
-  s.stale = stale_.load(std::memory_order_relaxed);
-  s.degraded = degraded_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.expired = expired_.load(std::memory_order_relaxed);
-  s.errors = errors_.load(std::memory_order_relaxed);
-  s.polls = polls_.load(std::memory_order_relaxed);
+  const auto outcomes = [this](QueryStatus status) {
+    return status_counters_[static_cast<std::size_t>(status)].value();
+  };
+  s.submitted = submitted_counter_.value();
+  s.answered = outcomes(QueryStatus::kAnswered);
+  s.stale = outcomes(QueryStatus::kStale);
+  s.degraded = outcomes(QueryStatus::kDegraded);
+  s.shed = outcomes(QueryStatus::kOverloaded);
+  s.expired = outcomes(QueryStatus::kExpired);
+  s.errors = outcomes(QueryStatus::kError);
+  s.polls = polls_counter_.value();
   s.snapshot_version = store_.version();
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.batch_queries = batch_queries_.load(std::memory_order_relaxed);
+  s.cache_hits = cache_hit_counter_.value();
+  s.batch_queries = batch_counter_.value();
   s.admission_budget = admission_.capacity();
   s.in_flight_high_water = admission_.high_water();
   s.p50_us = static_cast<std::uint64_t>(latency_.quantile(0.50) * 1e6);
@@ -543,7 +510,6 @@ void QueryService::worker_loop() {
 void QueryService::poller_loop(std::function<void()> poll_step) {
   while (true) {
     poll_step();
-    polls_.fetch_add(1, std::memory_order_relaxed);
     polls_counter_.inc();
     std::unique_lock<std::mutex> lk(mutex_);
     if (stop_cv_.wait_for(lk, options_.poll_interval,

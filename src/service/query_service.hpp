@@ -66,7 +66,8 @@ class ResultCache;  // service/result_cache.hpp
 
 /// Monitoring snapshot.  submitted == answered + stale + degraded + shed
 /// + expired + errors once the service is idle (counts are client-visible
-/// outcomes).
+/// outcomes).  Every count reads one of the service's remos_service_*
+/// registry counters (under its set_obs labels): each event counts once.
 struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t answered = 0;
@@ -90,8 +91,9 @@ struct ServiceStats {
   std::size_t admission_budget = 0;
   std::size_t in_flight_high_water = 0;
   /// Service-side completion latency quantiles (executed queries only),
-  /// conservative bucket upper bounds.  Sourced from the wired metrics
-  /// registry, so they read 0 until set_obs is called.
+  /// conservative bucket upper bounds, read from this service's own
+  /// remos_service_latency_seconds series (under its set_obs labels).
+  /// An unwired service keeps no histogram, so they read 0 until set_obs.
   std::uint64_t p50_us = 0;
   std::uint64_t p99_us = 0;
 };
@@ -141,10 +143,14 @@ class QueryService : public FlowInfoEndpoint {
 
   /// Wires metrics and flight-recorder events: per-status query
   /// counters, queue depth, latency and deadline-slack histograms,
-  /// snapshot gauges, and shed-episode / publish events.  Call before
-  /// start(); handles are resolved once and the hot path stays
-  /// lock-free.  Without it every sink is a no-op.
-  void set_obs(const obs::Obs& o);
+  /// snapshot gauges, and shed-episode / publish events.  Every series
+  /// carries `labels` (a replica passes {replica}); services sharing one
+  /// registry need distinct labels, or they share series and each
+  /// stats() reports the sum.  Call before start(); handles are resolved
+  /// once and the hot path stays lock-free.  Without it the counters
+  /// count in a registry the service owns and every other sink is a
+  /// no-op.
+  void set_obs(const obs::Obs& o, const obs::Labels& labels = {});
 
   /// Starts the worker pool.  With `poll_step`, also starts a background
   /// poller thread that invokes it every poll_interval until stop() --
@@ -166,8 +172,8 @@ class QueryService : public FlowInfoEndpoint {
   }
 
   /// Registers a tenant for weighted fair admission and returns its id
-  /// (stamp it on queries / hand it to a RemosClient).  Register tenants
-  /// before set_obs so their metric handles resolve.
+  /// (stamp it on queries / hand it to a RemosClient).  Callable before
+  /// or after set_obs, and while serving.
   int register_tenant(const std::string& name, double weight);
 
   /// Synchronous query entry points (FlowInfoEndpoint), callable from
@@ -243,8 +249,12 @@ class QueryService : public FlowInfoEndpoint {
   /// single-query fingerprints.
   void warm_flow_cache(const FlowBatchInfoQuery& query,
                        const FlowBatchResponse& response);
-  void count_outcome(QueryStatus status);
-  void count_tenant(int tenant, bool admitted);
+  /// Points the counters stats() reads at `metrics`, under `labels`.
+  void resolve_counters(obs::MetricsRegistry& metrics,
+                        const obs::Labels& labels);
+  void count_outcome(QueryStatus status) {
+    status_counters_[static_cast<std::size_t>(status)].inc();
+  }
   void note_shed(bool shed);
 
   void worker_loop();
@@ -268,35 +278,25 @@ class QueryService : public FlowInfoEndpoint {
   std::vector<std::thread> workers_;
   std::thread poller_;
 
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> answered_{0};
-  std::atomic<std::uint64_t> stale_{0};
-  std::atomic<std::uint64_t> degraded_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> expired_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> polls_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> batch_queries_{0};
+  // The counts stats() reports: resolved in own_metrics_ at
+  // construction, re-pointed at the deployment's registry by set_obs.
+  obs::MetricsRegistry own_metrics_;
+  std::array<obs::Counter, obs::kQueryStatusCount> status_counters_;
+  obs::Counter submitted_counter_;
+  obs::Counter polls_counter_;
+  obs::Counter cache_hit_counter_;
+  obs::Counter batch_counter_;
 
   // Observability (no-op sinks until set_obs).
   obs::FlightRecorder* recorder_ = nullptr;
   core::ModelerObs modeler_obs_;
-  std::array<obs::Counter, obs::kQueryStatusCount> status_counters_;
-  obs::Counter submitted_counter_;
-  obs::Counter polls_counter_;
   obs::Gauge queue_depth_gauge_;
   obs::Gauge snapshot_version_gauge_;
   obs::Gauge snapshot_age_gauge_;
   obs::Histogram latency_;        // seconds, submission -> response
   obs::Histogram deadline_slack_; // seconds left when the answer landed
-  obs::Counter cache_hit_counter_;
   obs::Counter brownout_counter_;
   obs::Gauge budget_gauge_;
-  /// Per-tenant admitted/shed counters, indexed by tenant id; resolved at
-  /// set_obs time for tenants registered by then (register first).
-  std::vector<obs::Counter> tenant_admitted_counters_;
-  std::vector<obs::Counter> tenant_shed_counters_;
   std::atomic<bool> shedding_{false};  // edge detector for episode events
 
   // History series (telemetry plane; null until set_obs with a store):

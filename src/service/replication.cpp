@@ -152,23 +152,30 @@ void ReplicationBus::send(int replica, const std::vector<std::uint8_t>& frame,
 
 ReplicaStore::ReplicaStore(int id, Options options, obs::Obs obs)
     : id_(id), service_(options.service) {
-  service_.set_obs(obs);
+  const obs::Labels who{{"replica", std::to_string(id)}};
+  service_.set_obs(obs, who);
   recorder_ = obs.recorder;
-  if (obs.metrics) {
-    const obs::Labels who{{"replica", std::to_string(id)}};
-    applied_counter_ =
-        obs.metrics->counter("remos_replication_applied_total", who,
-                             "Snapshot frames applied by this replica.");
-    rejected_counter_ = obs.metrics->counter(
-        "remos_replication_rejected_total", who,
-        "Frames refused as corrupt or truncated by this replica.");
-    gap_counter_ =
-        obs.metrics->counter("remos_replication_gaps_total", who,
-                             "Delta base-version mismatches detected.");
-    resync_counter_ =
-        obs.metrics->counter("remos_replication_resyncs_total", who,
-                             "Full frames that repaired a gap or restart.");
-  }
+  obs::MetricsRegistry& m = obs.metrics ? *obs.metrics : own_metrics_;
+  fulls_applied_ =
+      m.counter("remos_replication_applied_total",
+                obs::with_label(who, "kind", "full"),
+                "Snapshot frames applied by this replica, by frame kind.");
+  deltas_applied_ =
+      m.counter("remos_replication_applied_total",
+                obs::with_label(who, "kind", "delta"),
+                "Snapshot frames applied by this replica, by frame kind.");
+  rejected_ = m.counter(
+      "remos_replication_rejected_total", who,
+      "Frames refused as corrupt or truncated by this replica.");
+  ignored_stale_ = m.counter(
+      "remos_replication_ignored_stale_total", who,
+      "Duplicated or late frames at or below the applied version.");
+  gaps_ = m.counter("remos_replication_gaps_total", who,
+                    "Delta base-version mismatches detected.");
+  resyncs_ = m.counter("remos_replication_resyncs_total", who,
+                       "Full frames that repaired a gap or restart.");
+  restarts_ = m.counter("remos_replication_restarts_total", who,
+                        "Crash-to-restart transitions of this replica.");
 }
 
 void ReplicaStore::on_frame(const std::vector<std::uint8_t>& frame,
@@ -177,8 +184,7 @@ void ReplicaStore::on_frame(const std::vector<std::uint8_t>& frame,
   try {
     f = collector::decode_frame(frame);
   } catch (const ProtocolError& e) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    rejected_counter_.inc();
+    rejected_.inc();
     if (recorder_)
       recorder_->record(obs::EventSeverity::kWarn, "replication",
                         "frame_rejected",
@@ -190,7 +196,7 @@ void ReplicaStore::on_frame(const std::vector<std::uint8_t>& frame,
   // Redelivery idempotence: duplicates and late reorders arrive at or
   // below the applied version and are ignored without touching state.
   if (f.version <= applied_.load(std::memory_order_relaxed)) {
-    ignored_stale_.fetch_add(1, std::memory_order_relaxed);
+    ignored_stale_.inc();
     return;
   }
 
@@ -199,8 +205,7 @@ void ReplicaStore::on_frame(const std::vector<std::uint8_t>& frame,
     try {
       next = collector::materialize(f);
     } catch (const ProtocolError& e) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      rejected_counter_.inc();
+      rejected_.inc();
       if (recorder_)
         recorder_->record(obs::EventSeverity::kWarn, "replication",
                           "frame_rejected",
@@ -212,11 +217,9 @@ void ReplicaStore::on_frame(const std::vector<std::uint8_t>& frame,
     model_ = std::move(next);
     applied_.store(f.version, std::memory_order_release);
     needs_full_.store(false, std::memory_order_release);
-    fulls_applied_.fetch_add(1, std::memory_order_relaxed);
-    applied_counter_.inc();
+    fulls_applied_.inc();
     if (repaired && ever_synced_) {
-      resyncs_.fetch_add(1, std::memory_order_relaxed);
-      resync_counter_.inc();
+      resyncs_.inc();
       if (recorder_)
         recorder_->record(obs::EventSeverity::kInfo, "replication", "resync",
                           "replica " + std::to_string(id_) +
@@ -226,15 +229,13 @@ void ReplicaStore::on_frame(const std::vector<std::uint8_t>& frame,
     }
     ever_synced_ = true;
     publish_to_service(f.taken_at);
-    last_applied_at_.store(now, std::memory_order_release);
     return;
   }
 
   // Delta: only applicable against exactly the replica's applied version.
   const std::uint64_t applied = applied_.load(std::memory_order_relaxed);
   if (applied == 0 || f.base_version != applied) {
-    gaps_.fetch_add(1, std::memory_order_relaxed);
-    gap_counter_.inc();
+    gaps_.inc();
     needs_full_.store(true, std::memory_order_release);
     if (recorder_)
       recorder_->record(obs::EventSeverity::kWarn, "replication",
@@ -250,8 +251,7 @@ void ReplicaStore::on_frame(const std::vector<std::uint8_t>& frame,
     collector::apply_delta(model_, f);
   } catch (const ProtocolError& e) {
     // The model may be partially mutated now; a full resync repairs it.
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    rejected_counter_.inc();
+    rejected_.inc();
     needs_full_.store(true, std::memory_order_release);
     if (recorder_)
       recorder_->record(obs::EventSeverity::kWarn, "replication",
@@ -261,10 +261,8 @@ void ReplicaStore::on_frame(const std::vector<std::uint8_t>& frame,
     return;
   }
   applied_.store(f.version, std::memory_order_release);
-  deltas_applied_.fetch_add(1, std::memory_order_relaxed);
-  applied_counter_.inc();
+  deltas_applied_.inc();
   publish_to_service(f.taken_at);
-  last_applied_at_.store(now, std::memory_order_release);
 }
 
 void ReplicaStore::note_outage(Seconds now) {
@@ -284,7 +282,7 @@ void ReplicaStore::note_alive(Seconds now) {
     model_ = collector::NetworkModel{};
     applied_.store(0, std::memory_order_release);
     needs_full_.store(true, std::memory_order_release);
-    restarts_.fetch_add(1, std::memory_order_relaxed);
+    restarts_.inc();
     service_.publish(collector::NetworkModel{}, now);
     if (recorder_)
       recorder_->record(obs::EventSeverity::kInfo, "replication",
@@ -303,13 +301,13 @@ void ReplicaStore::publish_to_service(Seconds taken_at) {
 
 ReplicaStore::Stats ReplicaStore::stats() const {
   Stats s;
-  s.fulls_applied = fulls_applied_.load(std::memory_order_relaxed);
-  s.deltas_applied = deltas_applied_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.ignored_stale = ignored_stale_.load(std::memory_order_relaxed);
-  s.gaps = gaps_.load(std::memory_order_relaxed);
-  s.resyncs = resyncs_.load(std::memory_order_relaxed);
-  s.restarts = restarts_.load(std::memory_order_relaxed);
+  s.fulls_applied = fulls_applied_.value();
+  s.deltas_applied = deltas_applied_.value();
+  s.rejected = rejected_.value();
+  s.ignored_stale = ignored_stale_.value();
+  s.gaps = gaps_.value();
+  s.resyncs = resyncs_.value();
+  s.restarts = restarts_.value();
   return s;
 }
 

@@ -178,6 +178,9 @@ class ReplicaStore {
     QueryService::Options service;
   };
 
+  /// The Stats counters live in `obs.metrics` when given, else in a
+  /// registry the replica owns; either way under {replica=id}, the label
+  /// its embedded service is wired with too.
   ReplicaStore(int id, Options options, obs::Obs obs = {});
 
   void start() { service_.start(); }
@@ -214,11 +217,8 @@ class ReplicaStore {
   bool needs_full() const {
     return needs_full_.load(std::memory_order_acquire);
   }
-  /// Model clock of the last applied frame (heartbeat; -1 = never).
-  Seconds last_applied_at() const {
-    return last_applied_at_.load(std::memory_order_acquire);
-  }
 
+  /// Each field reads its remos_replication_* counter.
   struct Stats {
     std::uint64_t fulls_applied = 0;
     std::uint64_t deltas_applied = 0;
@@ -242,21 +242,17 @@ class ReplicaStore {
   std::atomic<bool> serving_{true};
   std::atomic<bool> needs_full_{true};  // fresh replicas want a full
   std::atomic<std::uint64_t> applied_{0};
-  std::atomic<double> last_applied_at_{-1.0};
 
-  std::atomic<std::uint64_t> fulls_applied_{0};
-  std::atomic<std::uint64_t> deltas_applied_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> ignored_stale_{0};
-  std::atomic<std::uint64_t> gaps_{0};
-  std::atomic<std::uint64_t> resyncs_{0};
-  std::atomic<std::uint64_t> restarts_{0};
+  obs::MetricsRegistry own_metrics_;  // the counters' home when unwired
+  obs::Counter fulls_applied_;
+  obs::Counter deltas_applied_;
+  obs::Counter rejected_;
+  obs::Counter ignored_stale_;
+  obs::Counter gaps_;
+  obs::Counter resyncs_;
+  obs::Counter restarts_;
 
   obs::FlightRecorder* recorder_ = nullptr;
-  obs::Counter applied_counter_;
-  obs::Counter rejected_counter_;
-  obs::Counter gap_counter_;
-  obs::Counter resync_counter_;
 };
 
 }  // namespace remos::service

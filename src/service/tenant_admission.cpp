@@ -19,6 +19,7 @@ TenantAdmission::TenantAdmission(Options options) : options_(options) {
     auto def = std::make_unique<Tenant>();
     def->name = "default";
     def->weight = 1.0;
+    resolve(*def);
     tenants_.push_back(std::move(def));
     tenant_count_.store(1, std::memory_order_release);
     recompute_slices();
@@ -31,9 +32,14 @@ int TenantAdmission::register_tenant(const std::string& name, double weight) {
   std::lock_guard<std::mutex> lk(mutex_);
   if (tenants_.size() >= options_.max_tenants)
     throw InvalidArgument("TenantAdmission: max_tenants exhausted");
+  for (const auto& t : tenants_)
+    if (t->name == name)
+      throw InvalidArgument("TenantAdmission: tenant '" + name +
+                            "' already registered");
   auto t = std::make_unique<Tenant>();
   t->name = name;
   t->weight = weight;
+  resolve(*t);
   tenants_.push_back(std::move(t));
   const int id = static_cast<int>(tenants_.size() - 1);
   // Publish the new count only after the slot is fully constructed; the
@@ -42,6 +48,22 @@ int TenantAdmission::register_tenant(const std::string& name, double weight) {
   tenant_count_.store(tenants_.size(), std::memory_order_release);
   recompute_slices();
   return id;
+}
+
+void TenantAdmission::set_metrics(obs::MetricsRegistry& metrics,
+                                  obs::Labels labels) {
+  std::lock_guard<std::mutex> lk(mutex_);
+  metrics_ = &metrics;
+  labels_ = std::move(labels);
+  for (auto& t : tenants_) resolve(*t);
+}
+
+void TenantAdmission::resolve(Tenant& t) {
+  const obs::Labels who = obs::with_label(labels_, "tenant", t.name);
+  t.admitted = metrics_->counter("remos_service_tenant_admitted_total", who,
+                                 "Queries admitted, by tenant");
+  t.shed = metrics_->counter("remos_service_tenant_shed_total", who,
+                             "Queries shed at admission, by tenant");
 }
 
 TenantAdmission::Tenant& TenantAdmission::slot(int tenant) {
@@ -103,14 +125,12 @@ bool TenantAdmission::try_acquire(int tenant) {
       return true;
     }
   }
-  t.shed.fetch_add(1, std::memory_order_relaxed);
-  shed_.fetch_add(1, std::memory_order_relaxed);
+  t.shed.inc();
   return false;
 }
 
 void TenantAdmission::note_admitted(Tenant& t) {
-  t.admitted.fetch_add(1, std::memory_order_relaxed);
-  admitted_.fetch_add(1, std::memory_order_relaxed);
+  t.admitted.inc();
   const std::size_t now =
       in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
   std::size_t hw = high_water_.load(std::memory_order_relaxed);
@@ -156,9 +176,23 @@ TenantAdmission::TenantStats TenantAdmission::tenant_stats(int tenant) const {
   s.reserved_slots = t.reserved_limit.load(std::memory_order_acquire);
   s.in_flight = t.reserved_in_use.load(std::memory_order_relaxed) +
                 t.borrowed.load(std::memory_order_relaxed);
-  s.admitted = t.admitted.load(std::memory_order_relaxed);
-  s.shed = t.shed.load(std::memory_order_relaxed);
+  s.admitted = t.admitted.value();
+  s.shed = t.shed.value();
   return s;
+}
+
+std::uint64_t TenantAdmission::admitted() const {
+  std::uint64_t sum = 0;
+  const std::size_t n = tenant_count();
+  for (std::size_t i = 0; i < n; ++i) sum += tenants_[i]->admitted.value();
+  return sum;
+}
+
+std::uint64_t TenantAdmission::shed() const {
+  std::uint64_t sum = 0;
+  const std::size_t n = tenant_count();
+  for (std::size_t i = 0; i < n; ++i) sum += tenants_[i]->shed.value();
+  return sum;
 }
 
 // ---------------------------------------------------------------------------

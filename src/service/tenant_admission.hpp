@@ -21,10 +21,10 @@
 // slot totals are conserved under any acquire/release interleaving.
 //
 // Hot path is lock-free: per-tenant CAS on the reserved count, CAS on
-// the pool count, relaxed counters for monitoring.  Registration and
-// budget resizing take a mutex (setup / controller cadence, not per
-// query); tenant storage is pre-reserved so registration never moves
-// slots under a concurrent acquire.
+// the pool count, one registry counter per admission or shed.
+// Registration and budget resizing take a mutex (setup / controller
+// cadence, not per query); tenant storage is pre-reserved so
+// registration never moves slots under a concurrent acquire.
 //
 // AimdController closes the loop on the budget itself: additive increase
 // while the observed completion p99 sits below its target (a fraction of
@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace remos::service {
@@ -70,10 +71,17 @@ class TenantAdmission {
   TenantAdmission() : TenantAdmission(Options{}) {}
   explicit TenantAdmission(Options options);
 
-  /// Registers a tenant and returns its id.  Call during setup (before
-  /// the query storm); throws when max_tenants is exhausted or the
-  /// weight is not positive.  Thread-safe against concurrent acquires.
+  /// Registers a tenant and returns its id, resolving its admitted/shed
+  /// counters in the current registry.  Throws when max_tenants is
+  /// exhausted, the weight is not positive, or the name is taken (a name
+  /// keys the tenant's series).  Thread-safe against concurrent acquires.
   int register_tenant(const std::string& name, double weight);
+
+  /// Moves every tenant's counters (and those of tenants registered
+  /// later) to `metrics`, under `labels` plus {tenant}.  Until then they
+  /// count in a registry this object owns.  Call before the first
+  /// acquire: counts taken earlier stay behind.
+  void set_metrics(obs::MetricsRegistry& metrics, obs::Labels labels);
 
   /// True: admitted (caller must release(tenant) exactly once when the
   /// query leaves).  False: this tenant's slice and the shared pool are
@@ -97,10 +105,9 @@ class TenantAdmission {
   std::size_t high_water() const {
     return high_water_.load(std::memory_order_relaxed);
   }
-  std::uint64_t admitted() const {
-    return admitted_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t shed() const { return shed_.load(std::memory_order_relaxed); }
+  /// Sums of the per-tenant counts.
+  std::uint64_t admitted() const;
+  std::uint64_t shed() const;
 
   struct TenantStats {
     std::string name;
@@ -129,8 +136,8 @@ class TenantAdmission {
     std::atomic<std::size_t> reserved_limit{0};
     std::atomic<std::size_t> reserved_in_use{0};
     std::atomic<std::size_t> borrowed{0};
-    std::atomic<std::uint64_t> admitted{0};
-    std::atomic<std::uint64_t> shed{0};
+    obs::Counter admitted;
+    obs::Counter shed;
   };
 
   Tenant& slot(int tenant);
@@ -138,10 +145,15 @@ class TenantAdmission {
   /// Recomputes reserved slices + pool from budget_ and weights.
   /// Caller holds mutex_.
   void recompute_slices();
+  /// Resolves `t`'s counters in metrics_.  Caller holds mutex_.
+  void resolve(Tenant& t);
   void note_admitted(Tenant& t);
 
   Options options_;
-  std::mutex mutex_;  // registration + budget resize only
+  obs::MetricsRegistry own_metrics_;  // the counters' home until wired
+  std::mutex mutex_;  // registration, budget resize, metrics_, labels_
+  obs::MetricsRegistry* metrics_ = &own_metrics_;
+  obs::Labels labels_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::atomic<std::size_t> tenant_count_{0};
 
@@ -151,8 +163,6 @@ class TenantAdmission {
 
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::size_t> high_water_{0};
-  std::atomic<std::uint64_t> admitted_{0};
-  std::atomic<std::uint64_t> shed_{0};
 };
 
 /// Additive-increase / multiplicative-decrease controller for the global

@@ -273,7 +273,7 @@ TEST(ModelerFigure1, NodeInternalBandwidthGovernsAggregate) {
       void poll() override {}
     };
     FixedCollector fixed(model);
-    Modeler modeler(fixed);
+    Modeler modeler(fixed.model());
 
     FlowQuery q;
     q.variable = {FlowRequest{"1", "5", 1}, FlowRequest{"2", "6", 1},

@@ -59,7 +59,8 @@ TEST(Integration, ModelerOverMergedCollectors) {
   collector::CollectorSet set;
   set.add(h.collector());
   set.add(probes);
-  core::Modeler modeler(set);
+  const collector::NetworkModel merged = set.merged();
+  core::Modeler modeler(merged);
   modeler.set_clock([&] { return h.sim().now(); });
 
   // The merged model contains BOTH the physical path and the benchmark
@@ -125,7 +126,7 @@ TEST(Integration, SharingPolicyVisibleEndToEnd) {
   collector::BenchmarkCollector probes(h.sim(), {"m-1", "m-8"});
   probes.discover();
   probes.poll();
-  core::Modeler probe_modeler(probes);
+  core::Modeler probe_modeler(probes.model());
   const auto pg = probe_modeler.get_graph({"m-1", "m-8"},
                                           Timeframe::current());
   ASSERT_EQ(pg.link_count(), 1u);

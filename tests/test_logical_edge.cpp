@@ -31,7 +31,7 @@ NetworkModel chain_model() {
 
 TEST(LogicalEdge, LongChainCollapsesToOneLinkWithMinCapSumLatency) {
   StaticCollector source(chain_model());
-  Modeler modeler(source);
+  Modeler modeler(source.model());
   const NetworkGraph g =
       modeler.get_graph({"host1", "host2"}, Timeframe::statics());
   EXPECT_EQ(g.node_count(), 2u);
@@ -44,7 +44,7 @@ TEST(LogicalEdge, LongChainCollapsesToOneLinkWithMinCapSumLatency) {
 
 TEST(LogicalEdge, QueriedRouterIsNeverCollapsed) {
   StaticCollector source(chain_model());
-  Modeler modeler(source);
+  Modeler modeler(source.model());
   const NetworkGraph g =
       modeler.get_graph({"host1", "host2", "r2"}, Timeframe::statics());
   EXPECT_TRUE(g.has_node("r2"));
@@ -56,7 +56,7 @@ TEST(LogicalEdge, RouterWithInternalBandwidthSurvivesCollapse) {
   NetworkModel m = chain_model();
   m.node("r2").internal_bw = mbps(30);  // a constraint: must stay visible
   StaticCollector source(m);
-  Modeler modeler(source);
+  Modeler modeler(source.model());
   const NetworkGraph g =
       modeler.get_graph({"host1", "host2"}, Timeframe::statics());
   EXPECT_TRUE(g.has_node("r2"));
@@ -87,7 +87,7 @@ TEST(LogicalEdge, CollapsedUsageIsWorstOfTheChainPerDirection) {
   l23->history.record(s23);
 
   StaticCollector source(m);
-  Modeler modeler(source);
+  Modeler modeler(source.model());
   const NetworkGraph g =
       modeler.get_graph({"host1", "host2"}, Timeframe::current());
   ASSERT_EQ(g.link_count(), 1u);
@@ -119,7 +119,7 @@ TEST(LogicalEdge, ParallelPathsDoNotCollapseIntoMultigraph) {
   m.upsert_link("rb", "j2", mbps(50), millis(1));
   m.upsert_link("j2", "host2", mbps(100), millis(1));
   StaticCollector source(m);
-  Modeler modeler(source);
+  Modeler modeler(source.model());
   core::LogicalOptions keep;
   keep.keep_all = true;  // both branches are relevant
   const NetworkGraph g =
@@ -225,7 +225,7 @@ TEST(LogicalEdge, DisconnectedQueriedNodesYieldPartialGraph) {
   NetworkModel m = chain_model();
   m.upsert_node("island", false);  // no links at all
   StaticCollector source(m);
-  Modeler modeler(source);
+  Modeler modeler(source.model());
   const NetworkGraph g =
       modeler.get_graph({"host1", "island"}, Timeframe::statics());
   EXPECT_TRUE(g.has_node("host1"));

@@ -159,6 +159,8 @@ TEST(TenantAdmission, ValidatesOptionsAndRegistration) {
   TenantAdmission adm({8, 0.75, 2});  // default + 1 more
   EXPECT_THROW(adm.register_tenant("bad", 0.0), InvalidArgument);
   EXPECT_THROW(adm.register_tenant("bad", -1.0), InvalidArgument);
+  // A name keys the tenant's series: a second "default" would share one.
+  EXPECT_THROW(adm.register_tenant("default", 1.0), InvalidArgument);
   adm.register_tenant("ok", 1.0);
   EXPECT_THROW(adm.register_tenant("overflow", 1.0), InvalidArgument);
   EXPECT_THROW(adm.set_budget(0), InvalidArgument);

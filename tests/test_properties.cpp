@@ -65,7 +65,7 @@ TEST_P(FlowSolverProperty, GrantsRespectClassSemantics) {
   Rng rng(GetParam());
   const collector::NetworkModel model = random_model(rng, true);
   collector::StaticCollector source(model);
-  core::Modeler modeler(source);
+  core::Modeler modeler(source.model());
   const auto hosts = host_names(model);
   if (hosts.size() < 2) GTEST_SKIP();
 
@@ -134,8 +134,8 @@ TEST_P(FlowSolverProperty, MoreBackgroundNeverHelps) {
   q.timeframe = Timeframe::history(100.0);
 
   collector::StaticCollector c_loaded(loaded), c_idle(idle);
-  const auto r_loaded = core::Modeler(c_loaded).flow_info(q);
-  const auto r_idle = core::Modeler(c_idle).flow_info(q);
+  const auto r_loaded = core::Modeler(c_loaded.model()).flow_info(q);
+  const auto r_idle = core::Modeler(c_idle.model()).flow_info(q);
   if (!r_loaded.independent->routable) GTEST_SKIP();
   EXPECT_LE(r_loaded.independent->bandwidth.quartiles.median,
             r_idle.independent->bandwidth.quartiles.median + 1.0);

@@ -80,6 +80,40 @@ ReplicatedService::Options small_options(std::size_t replicas) {
   return o;
 }
 
+/// Every ReplicaStore::Stats and FailoverCoordinator::Stats field equals
+/// its series in `metrics`.
+void expect_stats_match_series(ReplicatedService& rs,
+                               obs::MetricsRegistry& metrics) {
+  const auto series = [&metrics](const char* family,
+                                 const obs::Labels& labels) {
+    return metrics.counter(family, labels).value();
+  };
+  for (std::size_t i = 0; i < rs.replica_count(); ++i) {
+    const obs::Labels who{{"replica", std::to_string(i)}};
+    const ReplicaStore::Stats s = rs.replica(i).stats();
+    EXPECT_EQ(s.fulls_applied,
+              series("remos_replication_applied_total",
+                     obs::with_label(who, "kind", "full")));
+    EXPECT_EQ(s.deltas_applied,
+              series("remos_replication_applied_total",
+                     obs::with_label(who, "kind", "delta")));
+    EXPECT_EQ(s.rejected, series("remos_replication_rejected_total", who));
+    EXPECT_EQ(s.ignored_stale,
+              series("remos_replication_ignored_stale_total", who));
+    EXPECT_EQ(s.gaps, series("remos_replication_gaps_total", who));
+    EXPECT_EQ(s.resyncs, series("remos_replication_resyncs_total", who));
+    EXPECT_EQ(s.restarts, series("remos_replication_restarts_total", who));
+  }
+  const FailoverCoordinator::Stats f = rs.coordinator().stats();
+  EXPECT_EQ(f.queries, series("remos_failover_queries_total", {}));
+  EXPECT_EQ(f.rerouted, series("remos_failover_reroutes_total", {}));
+  EXPECT_EQ(f.exhausted, series("remos_failover_exhausted_total", {}));
+  EXPECT_EQ(f.unrouted, series("remos_failover_unrouted_total", {}));
+  EXPECT_EQ(f.degraded_fallback,
+            series("remos_failover_degraded_fallback_total", {}));
+  EXPECT_EQ(f.fast_expired, series("remos_failover_fast_expired_total", {}));
+}
+
 void expect_converged(ReplicatedService& rs) {
   ASSERT_GT(rs.primary_version(), 0u);
   for (std::size_t i = 0; i < rs.replica_count(); ++i) {
@@ -122,6 +156,98 @@ TEST(Replication, PeriodicFullFramesAnchorTheDeltaStream) {
   const ReplicaStore::Stats s = rs.replica(0).stats();
   EXPECT_EQ(s.fulls_applied, 3u);
   EXPECT_EQ(s.deltas_applied, 4u);
+}
+
+TEST(Replication, FullEveryOneShipsEveryVersionFull) {
+  ReplicatedService::Options o = small_options(1);
+  o.full_every = 1;  // every version is its own anchor
+  ReplicatedService rs(o);
+  collector::NetworkModel model = waxman_model(12, 4);
+  for (int round = 1; round <= 5; ++round) {
+    churn(model, round, round);
+    rs.publish(model, round);
+  }
+  expect_converged(rs);
+  const ReplicaStore::Stats s = rs.replica(0).stats();
+  EXPECT_EQ(s.fulls_applied, 5u);
+  EXPECT_EQ(s.deltas_applied, 0u);
+}
+
+TEST(Replication, ReplicasSharingARegistryKeepTheirOwnCounts) {
+  obs::Observability obs;
+  ReplicatedService rs(small_options(2), obs.view());
+  rs.start();
+  // Replica 1 stops hearing the primary after v3, so the two replicas
+  // end on different snapshot versions.
+  rs.faults().partition(1, Window{3.5, 1e9});
+  collector::NetworkModel model = waxman_model(12, 13);
+  for (int round = 1; round <= 5; ++round) {
+    churn(model, round, round);
+    rs.publish(model, round);
+  }
+  ASSERT_EQ(rs.replica(0).applied_version(), 5u);
+  ASSERT_EQ(rs.replica(1).applied_version(), 3u);
+
+  // Unequal traffic, straight to each replica's service: three answers
+  // and an error on replica 0, one answer on replica 1.
+  const auto ask = [&rs](std::size_t replica, bool valid) {
+    GraphQuery q;
+    q.nodes = {"h0", "h1"};
+    if (!valid) {
+      q.timeframe.kind = core::Timeframe::Kind::kHistory;
+      q.timeframe.window = -1.0;
+    }
+    return rs.replica(replica).service().get_graph(std::move(q)).meta.status;
+  };
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(ask(0, true), QueryStatus::kAnswered);
+  EXPECT_EQ(ask(0, false), QueryStatus::kError);
+  EXPECT_EQ(ask(1, true), QueryStatus::kAnswered);
+  rs.stop();
+
+  const std::uint64_t submitted[] = {4, 1};
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE("replica " + std::to_string(i));
+    const obs::Labels who{{"replica", std::to_string(i)}};
+    QueryService& svc = rs.replica(i).service();
+    const ServiceStats s = svc.stats();
+    EXPECT_EQ(s.submitted, submitted[i]);
+    EXPECT_EQ(s.submitted,
+              obs.metrics.counter("remos_service_queries_submitted_total", who)
+                  .value());
+    const std::pair<QueryStatus, std::uint64_t> by_status[] = {
+        {QueryStatus::kAnswered, s.answered},
+        {QueryStatus::kStale, s.stale},
+        {QueryStatus::kDegraded, s.degraded},
+        {QueryStatus::kOverloaded, s.shed},
+        {QueryStatus::kExpired, s.expired},
+        {QueryStatus::kError, s.errors}};
+    for (const auto& [status, count] : by_status)
+      EXPECT_EQ(obs.metrics
+                    .counter("remos_service_queries_total",
+                             obs::with_label(who, "status",
+                                             obs::to_string(status)))
+                    .value(),
+                count)
+          << obs::to_string(status);
+    EXPECT_EQ(svc.admission().admitted(),
+              obs.metrics
+                  .counter("remos_service_tenant_admitted_total",
+                           obs::with_label(who, "tenant", "default"))
+                  .value());
+    // Each replica's latency histogram holds its own executed queries.
+    EXPECT_EQ(obs.metrics
+                  .histogram("remos_service_latency_seconds",
+                             obs::default_time_buckets(), who)
+                  .count(),
+              submitted[i]);
+    // Every frame a replica received applied in order, so its service
+    // published once per applied version.
+    EXPECT_EQ(s.snapshot_version, rs.replica(i).applied_version());
+    EXPECT_DOUBLE_EQ(
+        obs.metrics.gauge("remos_service_snapshot_version", who).value(),
+        static_cast<double>(rs.replica(i).applied_version()));
+  }
+  expect_stats_match_series(rs, obs.metrics);
 }
 
 TEST(Replication, DuplicatedFramesAreIgnoredIdempotently) {
@@ -370,7 +496,8 @@ TEST(ReplicationSoak, FailoverHoldsQuerySuccessThroughTheStorm) {
   o.full_every = 16;
   o.failover.max_lag_versions = 8;
   o.failover.max_attempts = 3;
-  ReplicatedService rs(o);
+  obs::Observability obs;
+  ReplicatedService rs(o, obs.view());
 
   // The storm: channel-wide corruption and loss bursts, replica 1
   // partitioned, replica 2 crash/restarted -- all overlapping, all
@@ -466,6 +593,9 @@ TEST(ReplicationSoak, FailoverHoldsQuerySuccessThroughTheStorm) {
   EXPECT_GT(rs.faults().faults_injected(), 0u);
   EXPECT_GE(rs.replica(2).stats().restarts, 1u);
   EXPECT_GE(rs.coordinator().stats().rerouted, 1u);
+  // Counted from client, worker and publisher threads at once, each
+  // event landed once, in the series its Stats field reads.
+  expect_stats_match_series(rs, obs.metrics);
 
   // Bit-for-bit convergence: after the clean tail, every replica's
   // canonical fingerprint equals the primary's newest snapshot.

@@ -379,6 +379,76 @@ TEST(QueryService, CountersMatchObservedStatusesAndQueueDrains) {
                    0.0);
 }
 
+TEST(QueryService, TenantCountsFollowTheAdmittingTenant) {
+  // Two ways a tenant's admissions once went uncounted in the registry:
+  // a query stamped with an id nobody registered (admitted as the
+  // default tenant), and a tenant registered after set_obs -- here
+  // while another client is being served, as examples/tenant_qos does.
+  obs::Observability obs;
+  QueryService::Options o;
+  o.queue_capacity = 2;  // then one reserved slot each, no shared pool
+  QueryService svc(o);
+  svc.set_obs(obs.view());
+  svc.start();
+  svc.publish(tiny_model(0.0), 0.0);
+
+  const auto ask = [&svc](int tenant) {
+    GraphQuery q = graph_query({"a", "b"});
+    q.tenant = tenant;
+    return svc.get_graph(std::move(q)).meta.status;
+  };
+  std::atomic<int> served{0};
+  std::atomic<bool> stop{false};
+  std::thread other([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      EXPECT_EQ(ask(TenantAdmission::kDefaultTenant), QueryStatus::kAnswered);
+      served.fetch_add(1, std::memory_order_release);
+    }
+  });
+  while (served.load(std::memory_order_acquire) < 1) std::this_thread::yield();
+  const int late = svc.register_tenant("late", 1.0);
+  const int seen = served.load(std::memory_order_acquire);
+  while (served.load(std::memory_order_acquire) < seen + 2)
+    std::this_thread::yield();
+  stop.store(true, std::memory_order_release);
+  other.join();
+  const auto other_admitted = static_cast<std::uint64_t>(served.load());
+
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(ask(late), QueryStatus::kAnswered);
+  EXPECT_EQ(ask(99), QueryStatus::kAnswered);
+  // Hold each tenant's one slot, and each is shed once.
+  TenantAdmission& adm = svc.admission();
+  ASSERT_TRUE(adm.try_acquire(late));
+  ASSERT_TRUE(adm.try_acquire(TenantAdmission::kDefaultTenant));
+  EXPECT_EQ(ask(late), QueryStatus::kOverloaded);
+  EXPECT_EQ(ask(99), QueryStatus::kOverloaded);
+  adm.release(late);
+  adm.release(TenantAdmission::kDefaultTenant);
+  svc.stop();
+
+  const auto series = [&obs](const char* family, const char* tenant) {
+    return obs.metrics.counter(family, {{"tenant", tenant}}).value();
+  };
+  const auto late_stats = adm.tenant_stats(late);
+  const auto default_stats =
+      adm.tenant_stats(TenantAdmission::kDefaultTenant);
+  EXPECT_EQ(late_stats.admitted, 4u);  // three queries and the held slot
+  EXPECT_EQ(late_stats.shed, 1u);
+  // The other client's queries, query 99 and the held slot.
+  EXPECT_EQ(default_stats.admitted, other_admitted + 2);
+  EXPECT_EQ(default_stats.shed, 1u);
+  EXPECT_EQ(series("remos_service_tenant_admitted_total", "late"),
+            late_stats.admitted);
+  EXPECT_EQ(series("remos_service_tenant_shed_total", "late"),
+            late_stats.shed);
+  EXPECT_EQ(series("remos_service_tenant_admitted_total", "default"),
+            default_stats.admitted);
+  EXPECT_EQ(series("remos_service_tenant_shed_total", "default"),
+            default_stats.shed);
+  EXPECT_EQ(adm.admitted(), late_stats.admitted + default_stats.admitted);
+  EXPECT_EQ(adm.shed(), late_stats.shed + default_stats.shed);
+}
+
 TEST(QueryService, ShedCounterAndEpisodeEventsUnderOverload) {
   obs::Observability obs;
   QueryService::Options o;
