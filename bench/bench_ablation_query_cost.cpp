@@ -12,7 +12,7 @@
 
 #include "bench/bench_common.hpp"
 #include "cluster/distance.hpp"
-#include "collector/static_collector.hpp"
+#include "collector/network_model.hpp"
 #include "core/modeler.hpp"
 #include "util/strings.hpp"
 
@@ -67,8 +67,8 @@ int main() {
   rule(w);
 
   for (const std::size_t n : {4u, 8u, 16u, 32u, 48u}) {
-    collector::StaticCollector source(tree_model(n));
-    core::Modeler modeler(source.model());
+    const collector::NetworkModel model = tree_model(n);
+    core::Modeler modeler(model);
     const auto hosts = host_names(n);
 
     // Best of several repetitions per approach (scheduler noise on this

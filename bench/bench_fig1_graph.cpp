@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "bench/bench_common.hpp"
-#include "collector/static_collector.hpp"
+#include "collector/network_model.hpp"
 #include "core/modeler.hpp"
 
 namespace {
@@ -30,8 +30,8 @@ collector::NetworkModel figure1_model(BitsPerSec backplane) {
 }
 
 void evaluate(BitsPerSec backplane, const char* reading) {
-  collector::StaticCollector source(figure1_model(backplane));
-  core::Modeler modeler(source.model());
+  const collector::NetworkModel model = figure1_model(backplane);
+  core::Modeler modeler(model);
 
   std::cout << "--- internal bandwidth of A and B: "
             << to_mbps(backplane) << " Mbps (" << reading << ") ---\n";

@@ -9,7 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "apps/harness.hpp"
-#include "collector/static_collector.hpp"
+#include "collector/network_model.hpp"
 #include "core/modeler.hpp"
 #include "util/strings.hpp"
 
@@ -45,8 +45,8 @@ std::vector<std::string> host_names(std::size_t hosts) {
 
 void BM_GetGraph(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  collector::StaticCollector source(tree_model(n));
-  core::Modeler modeler(source.model());
+  const collector::NetworkModel model = tree_model(n);
+  core::Modeler modeler(model);
   const auto hosts = host_names(n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -57,8 +57,8 @@ BENCHMARK(BM_GetGraph)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_FlowInfo(benchmark::State& state) {
   const auto flows = static_cast<std::size_t>(state.range(0));
-  collector::StaticCollector source(tree_model(32));
-  core::Modeler modeler(source.model());
+  const collector::NetworkModel model = tree_model(32);
+  core::Modeler modeler(model);
   core::FlowQuery q;
   q.timeframe = core::Timeframe::statics();
   for (std::size_t i = 0; i < flows; ++i)

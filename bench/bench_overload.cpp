@@ -14,6 +14,9 @@
 //   victim_p99_ratio      worst victim storm-p99 / max(baseline, 10ms)
 //   victim_goodput        worst victim fraction of ok() answers
 //   hot_shed_share        sheds charged to the hot tenant / all sheds
+//   hot_shed_rate         hot tenant's sheds / its admission requests
+//                         (admitted + shed; fresh cache hits never reach
+//                         admission)
 //   retry_amplification   hot client attempts / requests
 //
 // Results print as a table and are written to BENCH_overload.json
@@ -21,8 +24,8 @@
 //
 // Flags:
 //   --check   exit nonzero if victim_p99_ratio > 2.0, victim_goodput
-//             < 0.95, hot_shed_share < 0.90, or retry_amplification
-//             > 1.3
+//             < 0.95, hot_shed_share < 0.90, hot_shed_rate < 0.01, or
+//             retry_amplification > 1.3
 //   --out F   write the JSON to F instead of BENCH_overload.json
 #include <algorithm>
 #include <atomic>
@@ -147,6 +150,7 @@ struct StormResult {
   std::vector<double> victim_p99_us;  // per victim
   double worst_goodput = 1.0;
   std::uint64_t hot_sheds = 0;
+  std::uint64_t hot_admitted = 0;
   std::uint64_t total_sheds = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t degraded = 0;
@@ -243,8 +247,11 @@ StormResult run_storm(bool with_hot) {
     r.worst_goodput = std::min(
         r.worst_goodput, static_cast<double>(ok[i]) /
                              static_cast<double>(kQueriesPerVictim));
-    r.hot_sheds = svc->admission().tenant_stats(hot_id).shed;
   }
+  const service::TenantAdmission::TenantStats hot_tenant =
+      svc->admission().tenant_stats(hot_id);
+  r.hot_sheds = hot_tenant.shed;
+  r.hot_admitted = hot_tenant.admitted;
   r.total_sheds = svc->admission().shed();
   r.hot = hot_client.stats();
   svc->stop();
@@ -291,6 +298,14 @@ int main(int argc, char** argv) {
           ? 1.0
           : static_cast<double>(storm.hot_sheds) /
                 static_cast<double>(storm.total_sheds);
+  // A share of the hot tenant's admission requests, not a count of
+  // sheds: fresh cache hits can absorb most of a storm before admission.
+  // OverloadSoak's test gates the same floor.
+  const std::uint64_t hot_admissions = storm.hot_sheds + storm.hot_admitted;
+  const double hot_shed_rate =
+      hot_admissions == 0 ? 0.0
+                          : static_cast<double>(storm.hot_sheds) /
+                                static_cast<double>(hot_admissions);
   const double amplification =
       storm.hot.requests == 0
           ? 1.0
@@ -310,6 +325,7 @@ int main(int argc, char** argv) {
   row({"", "baseline p99", fixed(worst_base_us, 0), "us"}, w);
   row({"", "victim goodput", fixed(storm.worst_goodput * 100, 2), "%"}, w);
   row({"", "hot shed share", fixed(shed_share * 100, 1), "%"}, w);
+  row({"", "hot shed rate", fixed(hot_shed_rate * 100, 1), "%"}, w);
   row({"", "retry amplification", fixed(amplification, 3), "x"}, w);
   row({"", "sheds", std::to_string(storm.total_sheds), ""}, w);
   row({"", "brownout answers", std::to_string(storm.degraded), ""}, w);
@@ -338,8 +354,8 @@ int main(int argc, char** argv) {
   bool ok = true;
   if (check) {
     ok = ratio <= 2.0 && storm.worst_goodput >= 0.95 &&
-         shed_share >= 0.90 && amplification <= 1.3 &&
-         storm.total_sheds > 50;
+         shed_share >= 0.90 && hot_shed_rate >= 0.01 &&
+         amplification <= 1.3;
     if (!ok) std::cerr << "BENCH_overload: --check gates violated\n";
   }
   return ok ? 0 : 1;

@@ -7,14 +7,24 @@
 
 namespace remos::collector {
 
+namespace {
+
+obs::Counter poll_errors_in(obs::MetricsRegistry& metrics) {
+  return metrics.counter("remos_collectorset_poll_errors_total", {},
+                         "Collectors skipped in a round because poll() threw");
+}
+
+}  // namespace
+
+CollectorSet::CollectorSet()
+    : poll_errors_counter_(poll_errors_in(own_metrics_)) {}
+
 void CollectorSet::set_obs(const obs::Obs& o) {
   if (o.metrics) {
     rounds_counter_ =
         o.metrics->counter("remos_collectorset_poll_rounds_total", {},
                            "Cooperating-collector poll rounds completed");
-    round_errors_counter_ = o.metrics->counter(
-        "remos_collectorset_poll_errors_total", {},
-        "Collectors skipped in a round because poll() threw");
+    poll_errors_counter_ = poll_errors_in(*o.metrics);
     merge_duration_ = o.metrics->histogram(
         "remos_collectorset_merge_duration_seconds",
         obs::default_time_buckets(), {},
@@ -41,8 +51,7 @@ void CollectorSet::poll_all() {
     } catch (const Error& e) {
       // A degraded collector keeps its prior model; the merged view
       // simply prefers its healthier peers until it recovers.
-      ++poll_errors_;
-      round_errors_counter_.inc();
+      poll_errors_counter_.inc();
       if (recorder_)
         recorder_->record(obs::EventSeverity::kWarn, "collector",
                           "poll_skipped", e.what());

@@ -22,7 +22,7 @@ class CollectorSet {
   /// value the hook may move into an immutable snapshot.
   using PublishHook = std::function<void(NetworkModel merged)>;
 
-  CollectorSet() = default;
+  CollectorSet();
 
   /// Registers a collector; it must outlive the set.
   void add(Collector& collector);
@@ -36,11 +36,13 @@ class CollectorSet {
   /// skipped (its model keeps prior state); the round always completes.
   void poll_all();
 
-  /// Poll rounds in which some collector threw.
-  std::size_t poll_errors() const { return poll_errors_; }
+  /// Collectors skipped because their poll() threw, summed over rounds:
+  /// reads remos_collectorset_poll_errors_total.
+  std::size_t poll_errors() const { return poll_errors_counter_.value(); }
 
   /// Wires round counters and skipped-collector events into the set
   /// (individual collectors are wired separately via their own set_obs).
+  /// Until then poll_errors() counts in a registry the set owns.
   void set_obs(const obs::Obs& o);
 
   /// Installs (or clears, with nullptr) the per-round publication hook.
@@ -53,10 +55,10 @@ class CollectorSet {
 
  private:
   std::vector<Collector*> collectors_;
-  std::size_t poll_errors_ = 0;
   PublishHook publish_hook_;
+  obs::MetricsRegistry own_metrics_;  // the counter's home until wired
+  obs::Counter poll_errors_counter_;
   obs::Counter rounds_counter_;
-  obs::Counter round_errors_counter_;
   obs::Histogram merge_duration_;
   obs::FlightRecorder* recorder_ = nullptr;
 };

@@ -20,6 +20,11 @@ constexpr double kCounterModulus = 4294967296.0;  // 2^32
 std::uint32_t counter_delta(std::uint32_t now, std::uint32_t before) {
   return now - before;  // unsigned arithmetic wraps correctly
 }
+
+obs::Counter implausible_deltas_in(obs::MetricsRegistry& metrics) {
+  return metrics.counter("remos_collector_implausible_deltas_total", {},
+                         "Counter samples discarded as implausible");
+}
 }  // namespace
 
 SnmpCollector::SnmpCollector(snmp::Transport& transport,
@@ -28,7 +33,8 @@ SnmpCollector::SnmpCollector(snmp::Transport& transport,
     : transport_(&transport),
       seeds_(std::move(seed_routers)),
       options_(std::move(options)),
-      breakers_(options_.breaker) {
+      breakers_(options_.breaker),
+      implausible_counter_(implausible_deltas_in(own_metrics_)) {
   if (seeds_.empty())
     throw InvalidArgument("SnmpCollector: no seed routers");
   if (options_.unreachable_after < 1)
@@ -56,9 +62,7 @@ void SnmpCollector::set_obs(const obs::Obs& o) {
     poll_failures_counter_ = o.metrics->counter(
         "remos_collector_poll_failures_total", {},
         "Per-router polls that failed outright");
-    implausible_counter_ = o.metrics->counter(
-        "remos_collector_implausible_deltas_total", {},
-        "Counter samples discarded as implausible");
+    implausible_counter_ = implausible_deltas_in(*o.metrics);
     poll_duration_ = o.metrics->histogram(
         "remos_collector_poll_duration_seconds",
         obs::default_time_buckets(), {},
@@ -361,7 +365,6 @@ std::pair<std::size_t, std::size_t> SnmpCollector::poll_router(
       // Uptime went backwards: the agent restarted and its counters were
       // zeroed.  The delta against pre-restart values is meaningless, so
       // re-arm the baseline and take no sample this round.
-      ++implausible_deltas_;
       implausible_counter_.inc();
     } else if (prev.valid && uptime != prev.uptime_ticks) {
       const double dt =
@@ -402,7 +405,6 @@ std::pair<std::size_t, std::size_t> SnmpCollector::poll_router(
               .append(stamp, s.used_ba / link->capacity);
         }
       } else {
-        ++implausible_deltas_;
         implausible_counter_.inc();
       }
     }

@@ -98,13 +98,17 @@ class SnmpCollector : public Collector {
   /// The shared circuit-breaker state (for audit in tests/examples).
   const snmp::BreakerBoard& breakers() const { return breakers_; }
 
-  /// Counter samples discarded as implausible since construction.
-  std::uint64_t implausible_deltas() const { return implausible_deltas_; }
+  /// Counter samples discarded as implausible: reads
+  /// remos_collector_implausible_deltas_total.
+  std::uint64_t implausible_deltas() const {
+    return implausible_counter_.value();
+  }
 
   /// Wires metrics and flight-recorder events into this collector, its
   /// breaker board and every SNMP client it creates: poll duration and
   /// partial-poll counters, a per-router health gauge, model staleness,
-  /// and health-transition events.  Call before polling starts.
+  /// and health-transition events.  Call before polling starts.  Until
+  /// then implausible_deltas() counts in a registry the collector owns.
   void set_obs(const obs::Obs& o);
 
  private:
@@ -156,7 +160,9 @@ class SnmpCollector : public Collector {
   std::map<std::string, RouterState> router_state_;
   std::vector<HealthTransition> health_log_;
   std::size_t unreachable_ = 0;
-  std::uint64_t implausible_deltas_ = 0;
+
+  obs::MetricsRegistry own_metrics_;  // the counter's home until wired
+  obs::Counter implausible_counter_;
 
   // Observability (no-op sinks until set_obs).
   obs::Obs obs_;
@@ -164,7 +170,6 @@ class SnmpCollector : public Collector {
   obs::Counter polls_counter_;
   obs::Counter partial_polls_counter_;
   obs::Counter poll_failures_counter_;
-  obs::Counter implausible_counter_;
   obs::Histogram poll_duration_;
   obs::Gauge unreachable_gauge_;
   obs::Gauge staleness_gauge_;

@@ -100,7 +100,8 @@ struct ResponseMeta {
   std::chrono::microseconds latency{0};
   std::string error;
   /// Span tree for this query; non-empty only when the query asked for
-  /// tracing and reached a worker.
+  /// tracing and was answered: the executed path's spans, or one span
+  /// (`cache_hit` or `brownout`) for an answer from the result cache.
   obs::SpanTree trace;
   /// True when the payload came from the result cache (a fresh O(1) hit,
   /// or -- when status is kDegraded -- a brownout answer).

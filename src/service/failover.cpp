@@ -234,7 +234,7 @@ void ReplicatedService::publish(const collector::NetworkModel& model,
   const SnapshotStore::Ptr snap = store_.publish(model, now);
   const std::uint64_t v = snap->version;
 
-  // Deltas anchor on the pinned previous version; every full_every-th
+  // Deltas anchor on the previous version's held Ptr; every full_every-th
   // version (and any version without a base) ships full so a quiet
   // channel still converges from scratch within one anchor period.
   std::vector<std::uint8_t> wire;
@@ -272,7 +272,7 @@ void ReplicatedService::publish(const collector::NetworkModel& model,
     bus_.send(id, full, now);
   }
 
-  base_ = store_.acquire(v);
+  base_ = snap;
 
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     const std::uint64_t applied = replicas_[i]->applied_version();

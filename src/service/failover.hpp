@@ -115,7 +115,7 @@ class FailoverCoordinator : public FlowInfoEndpoint {
 };
 
 /// The replicated snapshot plane in one object: a primary SnapshotStore
-/// (with a pinned delta base), the fault-injectable ReplicationBus, N
+/// (with the held delta base), the fault-injectable ReplicationBus, N
 /// ReplicaStores, and a FailoverCoordinator over them.  publish() is the
 /// single publisher-thread entry point; queries go through coordinator().
 class ReplicatedService {
@@ -162,7 +162,7 @@ class ReplicatedService {
   ChannelFaultInjector faults_;
   ReplicationBus bus_;
   SnapshotStore store_;
-  SnapshotStore::Pin base_;  // keeps the delta base version addressable
+  SnapshotStore::Ptr base_;  // the delta base: the last version published
   std::vector<std::unique_ptr<ReplicaStore>> replicas_;
   std::unique_ptr<FailoverCoordinator> coordinator_;
   bool started_ = false;

@@ -25,6 +25,14 @@ double to_seconds(Clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
+/// The trace of an answer served from the cache: one span, `name`, from
+/// `since` to now.
+obs::SpanTree one_span(const char* name, Clock::time_point since) {
+  obs::TraceBuilder tb(since);
+  tb.add_complete(name, 0, elapsed_us(since, Clock::now()));
+  return tb.take();
+}
+
 }  // namespace
 
 QueryService::QueryService(Options options)
@@ -98,9 +106,6 @@ void QueryService::set_obs(const obs::Obs& o, const obs::Labels& labels) {
     deadline_slack_ = o.metrics->histogram(
         "remos_service_deadline_slack_seconds", obs::default_time_buckets(),
         labels, "Wall-clock budget remaining when the answer landed");
-    brownout_counter_ = o.metrics->counter(
-        "remos_service_brownouts_total", labels,
-        "Queries answered from the cache with kDegraded instead of shed");
     budget_gauge_ = o.metrics->gauge(
         "remos_service_admission_budget", labels,
         "Current global admission budget (AIMD-resized when adaptive)");
@@ -225,12 +230,13 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
                               Solve solve) {
   submitted_counter_.inc();
   const Seconds slo = query.max_staleness.value_or(options_.staleness_slo);
-  // Traced queries bypass the cache: the caller asked to watch this very
-  // query execute, and a cached answer has no span tree to give.
-  std::string key = cache->enabled() && !query.trace ? canonical_key(query)
-                                                     : std::string{};
+  // A traced query takes the same path as any other; an answer served
+  // from the cache carries one span, timed from here.
+  const auto arrived = query.trace ? Clock::now() : Clock::time_point{};
+  std::string key = cache->enabled() ? canonical_key(query) : std::string{};
   if (!key.empty()) {
     if (std::optional<Response> hit = cache_fresh_hit(cache, key, slo)) {
+      if (query.trace) hit->meta.trace = one_span("cache_hit", arrived);
       cache_hit_counter_.inc();
       count_outcome(hit->meta.status);
       return std::move(*hit);
@@ -249,7 +255,7 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
     // shed -- but it is always labelled kDegraded, never fresh.
     if (std::optional<Response> cached = cache_brownout(cache, key)) {
       r = std::move(*cached);
-      brownout_counter_.inc();
+      if (query.trace) r.meta.trace = one_span("brownout", arrived);
     } else {
       r.meta.status = QueryStatus::kOverloaded;
     }
@@ -278,10 +284,12 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
     queue_.emplace_back([this, state, cache, key = std::move(key), slo,
                          q = std::move(query), solve = std::move(solve)] {
       run_job(state, [&] {
-        Response out = answer<Response>(q, slo, state->enqueued, solve);
-        cache_store(cache, key, out);
+        Seconds taken_at = 0;
+        Response out =
+            answer<Response>(q, slo, state->enqueued, solve, taken_at);
+        cache_store(cache, key, out, taken_at);
         if constexpr (std::is_same_v<Query, FlowBatchInfoQuery>)
-          warm_flow_cache(q, out);
+          warm_flow_cache(q, out, taken_at);
         return out;
       });
     });
@@ -304,7 +312,7 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
 template <typename Response, typename Query, typename Solve>
 Response QueryService::answer(const Query& query, Seconds staleness_budget,
                               std::chrono::steady_clock::time_point enqueued,
-                              const Solve& solve) {
+                              const Solve& solve, Seconds& taken_at) {
   Response r;
   // Epoch = submission, so the "admission" span (queue wait) lines up
   // with the worker-side spans in one tree.
@@ -323,8 +331,9 @@ Response QueryService::answer(const Query& query, Seconds staleness_budget,
     if (tbp) r.meta.trace = tb.take();
     return r;
   }
+  taken_at = snap->taken_at;
   const Seconds now = model_now();
-  const Seconds age = std::max(0.0, now - snap->taken_at);
+  const Seconds age = std::max(0.0, now - taken_at);
   r.meta.snapshot_version = snap->version;
   r.meta.snapshot_age = age;
   snapshot_age_gauge_.set(age);
@@ -395,29 +404,26 @@ std::optional<Response> QueryService::cache_brownout(
 template <typename Response>
 void QueryService::cache_store(ResultCache<Response>* cache,
                                const std::string& key,
-                               const Response& response) {
+                               const Response& response, Seconds taken_at) {
   // Only executed payload-bearing answers are cacheable; kDegraded came
   // *from* the cache, and errors/sheds carry no payload.
   if (key.empty()) return;
   if (response.meta.status != QueryStatus::kAnswered &&
       response.meta.status != QueryStatus::kStale)
     return;
-  SnapshotStore::Pin pin = store_.acquire(response.meta.snapshot_version);
-  if (!pin) return;  // version already beyond the store's retention
-  // Read through the pin before handing it to insert(): the by-value Pin
-  // argument is move-constructed at an unspecified point relative to its
-  // sibling arguments.
-  const Seconds taken_at = pin->taken_at;
-  cache->insert(key, response, response.meta.snapshot_version, taken_at,
-                std::move(pin));
+  Response payload = response;
+  payload.meta.trace = obs::SpanTree{};  // a hit never returns this trace
+  cache->insert(key, std::move(payload), response.meta.snapshot_version,
+                taken_at);
 }
 
 void QueryService::warm_flow_cache(const FlowBatchInfoQuery& query,
-                                   const FlowBatchResponse& response) {
+                                   const FlowBatchResponse& response,
+                                   Seconds taken_at) {
   // Independent-mode sub-answers are exactly what the lone query would
   // have produced, so warm the single-query fingerprints too: a later
   // flow_info for any sub-query is an O(1) fresh hit.
-  if (!response.meta.ok() || query.trace ||
+  if (!response.meta.ok() ||
       query.batch.mode != core::FlowBatchQuery::Mode::kIndependent ||
       !flow_cache_->enabled())
     return;
@@ -427,9 +433,8 @@ void QueryService::warm_flow_cache(const FlowBatchInfoQuery& query,
     single.query = query.batch.queries[i];
     FlowInfoResponse sr;
     sr.meta = response.meta;
-    sr.meta.trace = obs::SpanTree{};
     sr.result = response.results[i];
-    cache_store(flow_cache_.get(), canonical_key(single), sr);
+    cache_store(flow_cache_.get(), canonical_key(single), sr, taken_at);
   }
 }
 

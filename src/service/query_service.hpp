@@ -225,9 +225,11 @@ class QueryService : public FlowInfoEndpoint {
   void run_job(const std::shared_ptr<Pending<Response>>& state,
                Fn&& execute);
   template <typename Response, typename Query, typename Solve>
+  /// Executes `query` against the current snapshot; sets `taken_at` to
+  /// that snapshot's model clock (the cache entry's brownout anchor).
   Response answer(const Query& query, Seconds staleness_budget,
                   std::chrono::steady_clock::time_point enqueued,
-                  const Solve& solve);
+                  const Solve& solve, Seconds& taken_at);
   /// Fresh-hit fast path: serves `key` from `cache` iff the cached
   /// version matches the store's current version.  O(1): no admission
   /// slot, no worker, no Modeler.
@@ -237,18 +239,20 @@ class QueryService : public FlowInfoEndpoint {
                                           Seconds staleness_budget);
   /// Brownout rung: any-version cached answer, accuracy discounted by
   /// snapshot age, status kDegraded.  nullopt when the cache has nothing
-  /// (or `key` is empty: caching off, or a traced query).
+  /// (or `key` is empty: caching off).
   template <typename Response>
   std::optional<Response> cache_brownout(ResultCache<Response>* cache,
                                          const std::string& key);
-  /// Inserts an executed answer into the cache, pinning its snapshot.
+  /// Inserts an executed answer into the cache with the `taken_at` of
+  /// the snapshot that answered it.  The payload is stored without its
+  /// trace; the cache holds no snapshot.
   template <typename Response>
   void cache_store(ResultCache<Response>* cache, const std::string& key,
-                   const Response& response);
+                   const Response& response, Seconds taken_at);
   /// Stores an independent-mode batch's sub-answers under their
   /// single-query fingerprints.
   void warm_flow_cache(const FlowBatchInfoQuery& query,
-                       const FlowBatchResponse& response);
+                       const FlowBatchResponse& response, Seconds taken_at);
   /// Points the counters stats() reads at `metrics`, under `labels`.
   void resolve_counters(obs::MetricsRegistry& metrics,
                         const obs::Labels& labels);
@@ -295,7 +299,6 @@ class QueryService : public FlowInfoEndpoint {
   obs::Gauge snapshot_age_gauge_;
   obs::Histogram latency_;        // seconds, submission -> response
   obs::Histogram deadline_slack_; // seconds left when the answer landed
-  obs::Counter brownout_counter_;
   obs::Gauge budget_gauge_;
   std::atomic<bool> shedding_{false};  // edge detector for episode events
 

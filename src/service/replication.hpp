@@ -7,7 +7,7 @@
 // a misbehaving *replication* network exactly the way the collector
 // survives a misbehaving management network (PR 1):
 //
-//   primary publish ──> SnapshotStore (version v, pinned base v-1)
+//   primary publish ──> SnapshotStore (version v, held base v-1)
 //                   ──> delta(v-1 -> v)  ──ReplicationBus──> replica 0..N-1
 //                        │ drop / duplicate / reorder / corrupt /
 //                        │ truncate / partition / crash  (scripted,

@@ -6,9 +6,10 @@
 // quartiles.  That purity is cacheable.  Each entry is keyed by a
 // *canonicalized query fingerprint* (sorted node sets, normalized
 // timeframes; flow order preserved, because fixed-flow admission order is
-// semantically significant) and stamped with the snapshot version that
-// answered it, plus a SnapshotStore::Pin so the version stays addressable
-// however many publishes happen afterwards.
+// semantically significant) and stamped with the version and the
+// `taken_at` of the snapshot that answered it.  An entry holds no
+// snapshot: it never reads the model again, so publishes free old
+// snapshots whatever the cache retains.
 //
 // Two lookups fall out of one table:
 //   - Fresh hit: the entry's version equals the store's current version.
@@ -35,7 +36,6 @@
 #include <utility>
 
 #include "service/query_service.hpp"
-#include "service/snapshot_store.hpp"
 
 namespace remos::service {
 
@@ -91,23 +91,18 @@ class ResultCache {
     if (!enabled()) return std::nullopt;
     std::lock_guard<std::mutex> lk(mutex_);
     auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
+    if (it == entries_.end()) return std::nullopt;
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    hits_.fetch_add(1, std::memory_order_relaxed);
     return Hit{it->second.response, it->second.version, it->second.taken_at};
   }
 
   /// Stores `response` as the answer for `key` at `version`.  A newer
   /// version replaces an older entry for the same fingerprint; an older
   /// or equal one is dropped (a slow worker must not roll the cache
-  /// back).  `pin` keeps the snapshot version addressable for as long as
-  /// the entry lives.
+  /// back).  `taken_at` is the answering snapshot's model clock, the
+  /// anchor of a later brownout's age.
   void insert(const std::string& key, Response response,
-              std::uint64_t version, Seconds taken_at,
-              SnapshotStore::Pin pin) {
+              std::uint64_t version, Seconds taken_at) {
     if (!enabled()) return;
     std::lock_guard<std::mutex> lk(mutex_);
     auto it = entries_.find(key);
@@ -116,9 +111,7 @@ class ResultCache {
       it->second.response = std::move(response);
       it->second.version = version;
       it->second.taken_at = taken_at;
-      it->second.pin = std::move(pin);
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      inserts_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     while (entries_.size() >= options_.capacity && !lru_.empty()) {
@@ -131,22 +124,13 @@ class ResultCache {
     e.response = std::move(response);
     e.version = version;
     e.taken_at = taken_at;
-    e.pin = std::move(pin);
     e.lru_it = lru_.begin();
     entries_.emplace(key, std::move(e));
-    inserts_.fetch_add(1, std::memory_order_relaxed);
   }
 
   std::size_t size() const {
     std::lock_guard<std::mutex> lk(mutex_);
     return entries_.size();
-  }
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t inserts() const {
-    return inserts_.load(std::memory_order_relaxed);
   }
   std::uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
@@ -157,7 +141,6 @@ class ResultCache {
     Response response;
     std::uint64_t version = 0;
     Seconds taken_at = 0;
-    SnapshotStore::Pin pin;
     std::list<std::string>::iterator lru_it;
   };
 
@@ -165,9 +148,6 @@ class ResultCache {
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Entry> entries_;
   std::list<std::string> lru_;  // front = most recent
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> inserts_{0};
   std::atomic<std::uint64_t> evictions_{0};
 };
 

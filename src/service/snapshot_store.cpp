@@ -38,40 +38,4 @@ SnapshotStore::Ptr SnapshotStore::previous() const {
   return p;
 }
 
-SnapshotStore::Pin SnapshotStore::acquire(std::uint64_t version) {
-  lock();
-  Ptr found;
-  if (current_ && current_->version == version) {
-    found = current_;
-  } else if (previous_ && previous_->version == version) {
-    found = previous_;
-  } else if (const auto it = pinned_.find(version); it != pinned_.end()) {
-    found = it->second.first;
-  }
-  if (found) {
-    auto [it, inserted] = pinned_.try_emplace(version, found, 0);
-    ++it->second.second;
-  }
-  unlock();
-  return found ? Pin(this, std::move(found)) : Pin();
-}
-
-void SnapshotStore::unpin(std::uint64_t version) {
-  Ptr retired;  // destroyed after unlock: no model dtor under the lock
-  lock();
-  if (const auto it = pinned_.find(version); it != pinned_.end()) {
-    if (--it->second.second == 0) {
-      retired = std::move(it->second.first);
-      pinned_.erase(it);
-    }
-  }
-  unlock();
-}
-
-void SnapshotStore::Pin::release() {
-  if (store_ && snapshot_) store_->unpin(snapshot_->version);
-  store_ = nullptr;
-  snapshot_.reset();
-}
-
 }  // namespace remos::service

@@ -6,10 +6,12 @@
 // view).  The SnapshotStore decouples the two planes: the poller thread
 // publishes a deep copy of the model as an immutable ModelSnapshot, and
 // query workers load the current snapshot pointer -- no copy, no torn
-// reads.  Readers holding an older snapshot keep it alive through their
-// own shared_ptr until they drop it (double-buffered: the store also
-// pins the previous snapshot, so the common "one reader still on version
-// n-1" case never frees mid-query).
+// reads.  One lifetime rule: a snapshot lives exactly as long as someone
+// holds its Ptr.  The store holds two, current and previous
+// (double-buffered, so the common "one reader still on version n-1" case
+// never frees mid-query); anyone needing an older snapshot -- a reader
+// mid-answer, a delta encoder's base -- keeps the Ptr it was handed.
+// The store does not address older versions.
 //
 // Publication is a pointer swap under a tiny acquire/release spinlock
 // rather than std::atomic<shared_ptr>.  That is not a concession:
@@ -23,9 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <utility>
 
 #include "collector/network_model.hpp"
 
@@ -46,54 +46,8 @@ class SnapshotStore {
  public:
   using Ptr = std::shared_ptr<const ModelSnapshot>;
 
-  /// RAII pin on one snapshot version.  While any pin on a version is
-  /// alive, acquire(version) keeps resolving it no matter how many
-  /// publishes happen in between -- the API a delta encoder uses to hold
-  /// its base version against a concurrent publisher.  (A bare Ptr keeps
-  /// the *object* alive but the store forgets anything older than
-  /// previous(); the pin keeps it *addressable by version* too.)
-  /// Movable, not copyable; empty pins are valid and inert.
-  class Pin {
-   public:
-    Pin() = default;
-    ~Pin() { release(); }
-    Pin(Pin&& other) noexcept { *this = std::move(other); }
-    Pin& operator=(Pin&& other) noexcept {
-      if (this != &other) {
-        release();
-        store_ = other.store_;
-        snapshot_ = std::move(other.snapshot_);
-        other.store_ = nullptr;
-        other.snapshot_.reset();
-      }
-      return *this;
-    }
-    Pin(const Pin&) = delete;
-    Pin& operator=(const Pin&) = delete;
-
-    const Ptr& snapshot() const { return snapshot_; }
-    const ModelSnapshot* operator->() const { return snapshot_.get(); }
-    explicit operator bool() const { return snapshot_ != nullptr; }
-
-    /// Drops the pin early (idempotent).
-    void release();
-
-   private:
-    friend class SnapshotStore;
-    Pin(SnapshotStore* store, Ptr snapshot)
-        : store_(store), snapshot_(std::move(snapshot)) {}
-    SnapshotStore* store_ = nullptr;
-    Ptr snapshot_;
-  };
-
-  /// Pins `version` if the store still retains it: the current snapshot,
-  /// the previous one, or any version somebody else holds a pin on.
-  /// Returns an empty Pin otherwise (the caller falls back to a full
-  /// encode instead of a delta).
-  Pin acquire(std::uint64_t version);
-
   /// Publishes `model` as the new current snapshot and returns it.  The
-  /// previously current snapshot stays pinned as previous().  Safe to
+  /// previously current snapshot stays held as previous().  Safe to
   /// call concurrently with any number of readers; publishers are
   /// expected to be serialized (one poller thread).
   Ptr publish(collector::NetworkModel model, Seconds taken_at);
@@ -118,13 +72,9 @@ class SnapshotStore {
   }
   void unlock() const { lock_.clear(std::memory_order_release); }
 
-  void unpin(std::uint64_t version);
-
   mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
   Ptr current_;
   Ptr previous_;
-  /// version -> {snapshot, live pin count}; entries leave at count 0.
-  std::map<std::uint64_t, std::pair<Ptr, std::size_t>> pinned_;
   std::atomic<std::uint64_t> version_{0};
 };
 

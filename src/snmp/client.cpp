@@ -20,6 +20,11 @@ std::uint64_t address_seed(const std::string& address) {
   return h;
 }
 
+obs::Counter fast_failures_in(obs::MetricsRegistry& metrics) {
+  return metrics.counter("remos_snmp_breaker_fast_fail_total", {},
+                         "Exchanges rejected by an open breaker");
+}
+
 }  // namespace
 
 ClientObs ClientObs::resolve(const obs::Obs& o) {
@@ -40,7 +45,8 @@ ClientObs ClientObs::resolve(const obs::Obs& o) {
   return c;
 }
 
-BreakerBoard::BreakerBoard(Options options) : options_(options) {
+BreakerBoard::BreakerBoard(Options options)
+    : options_(options), fast_fail_counter_(fast_failures_in(own_metrics_)) {
   if (options_.failure_threshold < 1)
     throw InvalidArgument("BreakerBoard: failure_threshold < 1");
   if (options_.cooldown < 0)
@@ -56,9 +62,7 @@ void BreakerBoard::set_obs(const obs::Obs& o) {
   if (o.metrics) {
     open_gauge_ = o.metrics->gauge("remos_snmp_breakers_open", {},
                                    "Agent circuit breakers currently open");
-    fast_fail_counter_ =
-        o.metrics->counter("remos_snmp_breaker_fast_fail_total", {},
-                           "Exchanges rejected by an open breaker");
+    fast_fail_counter_ = fast_failures_in(*o.metrics);
   }
   recorder_ = o.recorder;
 }
@@ -85,7 +89,6 @@ bool BreakerBoard::admit(const std::string& address, Seconds now,
       return true;
     case State::kOpen:
       if (now - e.opened_at < options_.cooldown) {
-        ++fast_failures_;
         fast_fail_counter_.inc();
         return false;
       }

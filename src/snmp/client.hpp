@@ -57,7 +57,7 @@ class BreakerBoard {
     Seconds cooldown = 5.0;
   };
 
-  BreakerBoard() = default;
+  BreakerBoard() : BreakerBoard(Options{}) {}
   explicit BreakerBoard(Options options);
 
   /// kClosed for addresses never seen.
@@ -70,13 +70,15 @@ class BreakerBoard {
   void on_success(const std::string& address);
   void on_failure(const std::string& address, Seconds now);
 
-  /// Exchanges rejected without touching the wire.
-  std::uint64_t fast_failures() const { return fast_failures_; }
+  /// Exchanges rejected without touching the wire: reads
+  /// remos_snmp_breaker_fast_fail_total.
+  std::uint64_t fast_failures() const { return fast_fail_counter_.value(); }
   /// Addresses whose breaker is currently open.
   std::size_t open_count() const;
 
   /// Wires metrics (open-breaker gauge, fast-fail counter) and recorder
-  /// events (every state transition) into this board.
+  /// events (every state transition) into this board.  Until then
+  /// fast_failures() counts in a registry the board owns.
   void set_obs(const obs::Obs& o);
 
  private:
@@ -91,9 +93,9 @@ class BreakerBoard {
 
   Options options_;
   std::map<std::string, Entry> entries_;
-  std::uint64_t fast_failures_ = 0;
-  obs::Gauge open_gauge_;
+  obs::MetricsRegistry own_metrics_;  // the counter's home until wired
   obs::Counter fast_fail_counter_;
+  obs::Gauge open_gauge_;
   obs::FlightRecorder* recorder_ = nullptr;
 };
 

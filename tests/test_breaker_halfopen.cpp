@@ -71,6 +71,29 @@ TEST(BreakerHalfOpen, ProbeFailureReopensWithFreshCooldown) {
   EXPECT_EQ(b.fast_failures(), 2u);
 }
 
+TEST(BreakerHalfOpen, FastFailuresEqualTheirSeriesWiredAndUnwired) {
+  obs::MetricsRegistry registry;
+  BreakerBoard::Options o;
+  o.failure_threshold = 1;
+  o.cooldown = 5.0;
+  BreakerBoard b(o);
+  bool probe = false;
+  b.on_failure("a", 0.0);
+  EXPECT_FALSE(b.admit("a", 1.0, &probe));
+  EXPECT_FALSE(b.admit("a", 2.0, &probe));
+  // Unwired, the board counts fast failures in a registry of its own.
+  EXPECT_EQ(b.fast_failures(), 2u);
+
+  // Wired, fast_failures() reads the deployment's series, which counts
+  // from the wiring on.
+  b.set_obs(obs::Obs{&registry, nullptr});
+  EXPECT_FALSE(b.admit("a", 3.0, &probe));
+  const obs::Counter series =
+      registry.counter("remos_snmp_breaker_fast_fail_total");
+  EXPECT_EQ(series.value(), 1u);
+  EXPECT_EQ(b.fast_failures(), series.value());
+}
+
 TEST(BreakerHalfOpen, SecondCallerDuringUnresolvedProbeIsAlsoAProbe) {
   // Two clients share one board.  Client A's probe is in flight
   // (unresolved) when client B asks: B must also be treated as a probe

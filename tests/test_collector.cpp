@@ -247,6 +247,39 @@ TEST_F(SnmpCollectorOnTestbed, DiscoversFullTopologyFromOneSeed) {
   }
 }
 
+TEST_F(SnmpCollectorOnTestbed,
+       ImplausibleDeltasEqualTheirSeriesWiredAndUnwired) {
+  obs::MetricsRegistry registry;
+  snmp::FaultInjector& fx = harness_.fault_injector();
+  SnmpCollector solo(harness_.transport(), {"aspen"});
+  solo.discover();
+  harness_.sim().run_for(5.0);
+  solo.poll();  // arms every interface's counter baseline
+
+  // A counter reset re-bases aspen's uptime below the baseline, so the
+  // next poll discards each of aspen's deltas.  Unwired, the collector
+  // counts them in a registry of its own.
+  fx.counter_reset(snmp::agent_address("aspen"), 6.0);
+  harness_.sim().run_for(2.0);
+  solo.poll();
+  const std::uint64_t unwired = solo.implausible_deltas();
+  EXPECT_GE(unwired, 1u);
+  harness_.sim().run_for(2.0);
+  solo.poll();  // re-armed: a clean poll
+  EXPECT_EQ(solo.implausible_deltas(), unwired);
+
+  // Wired, implausible_deltas() reads the deployment's series, which
+  // counts from the wiring on.
+  solo.set_obs(obs::Obs{&registry, nullptr});
+  fx.counter_reset(snmp::agent_address("aspen"), 10.0);
+  harness_.sim().run_for(2.0);
+  solo.poll();
+  const obs::Counter series =
+      registry.counter("remos_collector_implausible_deltas_total");
+  EXPECT_GE(series.value(), 1u);
+  EXPECT_EQ(solo.implausible_deltas(), series.value());
+}
+
 TEST_F(SnmpCollectorOnTestbed, HostInfoReadThroughHostAgents) {
   harness_.sim().set_cpu_load(harness_.sim().topology().id_of("m-3"), 0.5);
   harness_.host_stats("m-3").memory_mb = 1024;
@@ -425,6 +458,33 @@ TEST(CollectorSetTest, PollRoundsAndMergeDurationAreObservable) {
                            obs::default_time_buckets())
                 .count(),
             2u);
+}
+
+/// A collector whose every poll throws (a management domain gone dark).
+class FailingCollector : public Collector {
+ public:
+  void discover() override {}
+  void poll() override { throw Error("domain unreachable"); }
+};
+
+TEST(CollectorSetTest, PollErrorsEqualTheirSeriesWiredAndUnwired) {
+  obs::MetricsRegistry registry;
+  FailingCollector failing;
+  CollectorSet set;
+  set.add(failing);
+  set.poll_all();
+  set.poll_all();
+  // Unwired, the set counts skipped collectors in a registry of its own.
+  EXPECT_EQ(set.poll_errors(), 2u);
+
+  // Wired, poll_errors() reads the deployment's series, which counts
+  // from the wiring on: each skip lands in exactly one cell.
+  set.set_obs(obs::Obs{&registry, nullptr});
+  set.poll_all();
+  const obs::Counter series =
+      registry.counter("remos_collectorset_poll_errors_total");
+  EXPECT_EQ(series.value(), 1u);
+  EXPECT_EQ(set.poll_errors(), series.value());
 }
 
 TEST(CollectorPolling, StartStopLifecycle) {

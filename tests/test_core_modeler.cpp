@@ -263,17 +263,7 @@ TEST(ModelerFigure1, NodeInternalBandwidthGovernsAggregate) {
     }
     model.upsert_link("A", "B", mbps(100), millis(0.2));
 
-    // A throwaway collector wrapper to drive the Modeler from the model.
-    class FixedCollector : public collector::Collector {
-     public:
-      explicit FixedCollector(collector::NetworkModel m) {
-        model_ = std::move(m);
-      }
-      void discover() override {}
-      void poll() override {}
-    };
-    FixedCollector fixed(model);
-    Modeler modeler(fixed.model());
+    Modeler modeler(model);
 
     FlowQuery q;
     q.variable = {FlowRequest{"1", "5", 1}, FlowRequest{"2", "6", 1},

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/harness.hpp"
-#include "collector/static_collector.hpp"
 #include "core/modeler.hpp"
 #include "netsim/testbeds.hpp"
 #include "netsim/traffic.hpp"

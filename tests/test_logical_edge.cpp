@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/harness.hpp"
-#include "collector/static_collector.hpp"
+#include "collector/network_model.hpp"
 #include "core/modeler.hpp"
 #include "core/predictor.hpp"
 #include "netsim/traffic.hpp"
@@ -13,7 +13,6 @@ namespace remos::core {
 namespace {
 
 using collector::NetworkModel;
-using collector::StaticCollector;
 
 /// host1 -- r1 -- r2 -- r3 -- host2 chain.
 NetworkModel chain_model() {
@@ -30,8 +29,8 @@ NetworkModel chain_model() {
 }
 
 TEST(LogicalEdge, LongChainCollapsesToOneLinkWithMinCapSumLatency) {
-  StaticCollector source(chain_model());
-  Modeler modeler(source.model());
+  const NetworkModel m = chain_model();
+  Modeler modeler(m);
   const NetworkGraph g =
       modeler.get_graph({"host1", "host2"}, Timeframe::statics());
   EXPECT_EQ(g.node_count(), 2u);
@@ -43,8 +42,8 @@ TEST(LogicalEdge, LongChainCollapsesToOneLinkWithMinCapSumLatency) {
 }
 
 TEST(LogicalEdge, QueriedRouterIsNeverCollapsed) {
-  StaticCollector source(chain_model());
-  Modeler modeler(source.model());
+  const NetworkModel m = chain_model();
+  Modeler modeler(m);
   const NetworkGraph g =
       modeler.get_graph({"host1", "host2", "r2"}, Timeframe::statics());
   EXPECT_TRUE(g.has_node("r2"));
@@ -55,8 +54,7 @@ TEST(LogicalEdge, QueriedRouterIsNeverCollapsed) {
 TEST(LogicalEdge, RouterWithInternalBandwidthSurvivesCollapse) {
   NetworkModel m = chain_model();
   m.node("r2").internal_bw = mbps(30);  // a constraint: must stay visible
-  StaticCollector source(m);
-  Modeler modeler(source.model());
+  Modeler modeler(m);
   const NetworkGraph g =
       modeler.get_graph({"host1", "host2"}, Timeframe::statics());
   EXPECT_TRUE(g.has_node("r2"));
@@ -86,8 +84,7 @@ TEST(LogicalEdge, CollapsedUsageIsWorstOfTheChainPerDirection) {
   (flipped ? s23.used_ab : s23.used_ba) = mbps(10);
   l23->history.record(s23);
 
-  StaticCollector source(m);
-  Modeler modeler(source.model());
+  Modeler modeler(m);
   const NetworkGraph g =
       modeler.get_graph({"host1", "host2"}, Timeframe::current());
   ASSERT_EQ(g.link_count(), 1u);
@@ -118,8 +115,7 @@ TEST(LogicalEdge, ParallelPathsDoNotCollapseIntoMultigraph) {
   m.upsert_link("ra", "j2", mbps(100), millis(1));
   m.upsert_link("rb", "j2", mbps(50), millis(1));
   m.upsert_link("j2", "host2", mbps(100), millis(1));
-  StaticCollector source(m);
-  Modeler modeler(source.model());
+  Modeler modeler(m);
   core::LogicalOptions keep;
   keep.keep_all = true;  // both branches are relevant
   const NetworkGraph g =
@@ -224,8 +220,7 @@ TEST(LogicalEdge, HistoryWindowPastRetentionDegradesHonestly) {
 TEST(LogicalEdge, DisconnectedQueriedNodesYieldPartialGraph) {
   NetworkModel m = chain_model();
   m.upsert_node("island", false);  // no links at all
-  StaticCollector source(m);
-  Modeler modeler(source.model());
+  Modeler modeler(m);
   const NetworkGraph g =
       modeler.get_graph({"host1", "island"}, Timeframe::statics());
   EXPECT_TRUE(g.has_node("host1"));

@@ -729,23 +729,91 @@ TYPED_TEST(ServingPath, MissHitBrownoutShedAndOneAccount) {
       s.submitted);
 }
 
-TEST(ResultCache, TracedQueriesBypassTheCache) {
+/// The names of a trace's spans, in tree order.
+std::vector<std::string> span_names(const obs::SpanTree& trace) {
+  std::vector<std::string> names;
+  for (const obs::Span& span : trace.spans) names.push_back(span.name);
+  return names;
+}
+
+TEST(ResultCache, TracedQueriesGoThroughTheCache) {
   QueryService svc(cached_options());
   svc.start();
   svc.publish(tiny_model(0.0), 0.0);
-  GraphQuery q = graph_query({"a", "b"});
-  q.trace = true;
-  const GraphResponse first = svc.get_graph(q);
-  ASSERT_TRUE(first.meta.ok());
-  EXPECT_FALSE(first.meta.from_cache);
-  EXPECT_FALSE(first.meta.trace.spans.empty());
-  GraphQuery again = graph_query({"a", "b"});
-  again.trace = true;
-  const GraphResponse second = svc.get_graph(again);
-  EXPECT_FALSE(second.meta.from_cache);
-  EXPECT_FALSE(second.meta.trace.spans.empty());
+  GraphQuery traced = graph_query({"a", "b"});
+  traced.trace = true;
+
+  // 1. A traced miss executes, keeps the executed path's spans, and is
+  // cached like any other answer.
+  const GraphResponse miss = svc.get_graph(traced);
+  ASSERT_EQ(miss.meta.status, QueryStatus::kAnswered);
+  EXPECT_FALSE(miss.meta.from_cache);
+  const std::vector<std::string> executed = span_names(miss.meta.trace);
+  for (const char* stage : {"admission", "snapshot_pickup", "solve"})
+    EXPECT_NE(std::find(executed.begin(), executed.end(), stage),
+              executed.end())
+        << stage;
   ASSERT_NE(svc.graph_cache(), nullptr);
-  EXPECT_EQ(svc.graph_cache()->size(), 0u);
+  EXPECT_EQ(svc.graph_cache()->size(), 1u);
+
+  // 2. A traced fresh hit shows the path it took: one cache_hit span.
+  const GraphResponse hit = svc.get_graph(traced);
+  EXPECT_EQ(hit.meta.status, QueryStatus::kAnswered);
+  EXPECT_TRUE(hit.meta.from_cache);
+  EXPECT_EQ(span_names(hit.meta.trace), std::vector<std::string>{"cache_hit"});
+
+  // 3. An untraced hit of the same entry carries no trace: the cache
+  // stored the traced miss's payload without its spans.
+  const GraphResponse plain = svc.get_graph(graph_query({"b", "a"}));
+  EXPECT_TRUE(plain.meta.from_cache);
+  EXPECT_TRUE(plain.meta.trace.empty());
+  EXPECT_EQ(svc.stats().cache_hits, 2u);
+
+  // 4. A traced brownout: v2 leaves the entry stale and every slot is
+  // taken, so the v1 answer comes back kDegraded with one brownout span.
+  svc.publish(tiny_model(10.0), 10.0);
+  const std::size_t held =
+      occupy_all_slots(svc, TenantAdmission::kDefaultTenant);
+  ASSERT_EQ(held, 2u);
+  const GraphResponse browned = svc.get_graph(traced);
+  EXPECT_EQ(browned.meta.status, QueryStatus::kDegraded);
+  EXPECT_TRUE(browned.meta.from_cache);
+  EXPECT_EQ(span_names(browned.meta.trace),
+            std::vector<std::string>{"brownout"});
+  release_slots(svc, TenantAdmission::kDefaultTenant, held);
+  svc.stop();
+}
+
+TEST(ResultCache, CachedAnswersHoldNoSnapshot) {
+  QueryService svc(cached_options());
+  svc.start();
+  svc.publish(tiny_model(0.0), 0.0);
+  const std::weak_ptr<const ModelSnapshot> v1 = svc.snapshots().current();
+  const GraphResponse fresh = svc.get_graph(graph_query({"a", "b"}));
+  ASSERT_EQ(fresh.meta.status, QueryStatus::kAnswered);
+  ASSERT_EQ(fresh.meta.snapshot_version, 1u);
+  ASSERT_EQ(svc.graph_cache()->size(), 1u);
+  const double fresh_acc = min_used_accuracy(fresh);
+  ASSERT_GT(fresh_acc, 0.0);
+
+  // v2 and v3 leave v1 with no holder: the store keeps current and
+  // previous, and the cache entry holds no snapshot.
+  svc.publish(tiny_model(10.0), 10.0);
+  svc.publish(tiny_model(20.0), 20.0);
+  EXPECT_TRUE(v1.expired());
+
+  // The v1 entry still serves a brownout, aged from v1's taken_at (0):
+  // at model time 30 that is one half-life.
+  svc.note_model_now(30.0);
+  const std::size_t held =
+      occupy_all_slots(svc, TenantAdmission::kDefaultTenant);
+  ASSERT_EQ(held, 2u);
+  const GraphResponse browned = svc.get_graph(graph_query({"a", "b"}));
+  EXPECT_EQ(browned.meta.status, QueryStatus::kDegraded);
+  EXPECT_EQ(browned.meta.snapshot_version, 1u);
+  EXPECT_DOUBLE_EQ(browned.meta.snapshot_age, 30.0);
+  EXPECT_DOUBLE_EQ(min_used_accuracy(browned), 0.5 * fresh_acc);
+  release_slots(svc, TenantAdmission::kDefaultTenant, held);
   svc.stop();
 }
 
@@ -764,16 +832,13 @@ TEST(ResultCache, ZeroCapacityDisablesCachingAndBrownout) {
 TEST(ResultCache, InsertKeepsOnlyTheNewestVersionPerFingerprint) {
   // A slow worker finishing against an old snapshot must not roll the
   // cache back below a newer entry.
-  SnapshotStore store;
-  store.publish(tiny_model(0.0), 0.0);
-  store.publish(tiny_model(1.0), 1.0);
   ResultCache<GraphResponse> cache({4});
   GraphResponse v2;
   v2.meta.snapshot_version = 2;
-  cache.insert("k", v2, 2, 1.0, store.acquire(2));
+  cache.insert("k", v2, 2, 1.0);
   GraphResponse v1;
   v1.meta.snapshot_version = 1;
-  cache.insert("k", v1, 1, 0.0, store.acquire(1));  // dropped: older
+  cache.insert("k", v1, 1, 0.0);  // dropped: older
   const auto hit = cache.find("k");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->version, 2u);
@@ -782,13 +847,11 @@ TEST(ResultCache, InsertKeepsOnlyTheNewestVersionPerFingerprint) {
 }
 
 TEST(ResultCache, LruEvictsTheColdestFingerprint) {
-  SnapshotStore store;
-  store.publish(tiny_model(0.0), 0.0);
   ResultCache<GraphResponse> cache({2});
-  cache.insert("a", GraphResponse{}, 1, 0.0, store.acquire(1));
-  cache.insert("b", GraphResponse{}, 1, 0.0, store.acquire(1));
+  cache.insert("a", GraphResponse{}, 1, 0.0);
+  cache.insert("b", GraphResponse{}, 1, 0.0);
   ASSERT_TRUE(cache.find("a").has_value());  // touch: "b" is now coldest
-  cache.insert("c", GraphResponse{}, 1, 0.0, store.acquire(1));
+  cache.insert("c", GraphResponse{}, 1, 0.0);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_TRUE(cache.find("a").has_value());
   EXPECT_FALSE(cache.find("b").has_value());

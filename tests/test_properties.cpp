@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <set>
 
-#include "collector/static_collector.hpp"
+#include "collector/network_model.hpp"
 #include "core/modeler.hpp"
 #include "netsim/simulator.hpp"
 #include "netsim/testbeds.hpp"
@@ -64,8 +64,7 @@ class FlowSolverProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(FlowSolverProperty, GrantsRespectClassSemantics) {
   Rng rng(GetParam());
   const collector::NetworkModel model = random_model(rng, true);
-  collector::StaticCollector source(model);
-  core::Modeler modeler(source.model());
+  core::Modeler modeler(model);
   const auto hosts = host_names(model);
   if (hosts.size() < 2) GTEST_SKIP();
 
@@ -133,9 +132,8 @@ TEST_P(FlowSolverProperty, MoreBackgroundNeverHelps) {
   q.independent = FlowRequest{hosts[0], hosts[1], 0};
   q.timeframe = Timeframe::history(100.0);
 
-  collector::StaticCollector c_loaded(loaded), c_idle(idle);
-  const auto r_loaded = core::Modeler(c_loaded.model()).flow_info(q);
-  const auto r_idle = core::Modeler(c_idle.model()).flow_info(q);
+  const auto r_loaded = core::Modeler(loaded).flow_info(q);
+  const auto r_idle = core::Modeler(idle).flow_info(q);
   if (!r_loaded.independent->routable) GTEST_SKIP();
   EXPECT_LE(r_loaded.independent->bandwidth.quartiles.median,
             r_idle.independent->bandwidth.quartiles.median + 1.0);

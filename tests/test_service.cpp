@@ -117,52 +117,40 @@ TEST(SnapshotStore, ConcurrentPublishAndReadIsTornFree) {
   EXPECT_GE(reads.load(), 200u);
 }
 
-TEST(SnapshotStore, PinKeepsVersionAddressableAcrossPublishes) {
-  SnapshotStore store;
-  store.publish(tiny_model(1.0), 1.0);
-  SnapshotStore::Pin pin = store.acquire(1);
-  ASSERT_TRUE(pin);
-  EXPECT_EQ(pin->version, 1u);
-
-  for (int i = 0; i < 6; ++i) store.publish(tiny_model(2.0 + i), 2.0 + i);
-
-  // Unpinned, version 1 would have been forgotten after two publishes
-  // (only current/previous are retained); the pin keeps it addressable.
-  SnapshotStore::Pin again = store.acquire(1);
-  ASSERT_TRUE(again);
-  EXPECT_EQ(again->version, 1u);
-  EXPECT_DOUBLE_EQ(again->taken_at, 1.0);
-  EXPECT_TRUE(store.acquire(store.version()));
-
-  pin.release();
-  EXPECT_TRUE(store.acquire(1)) << "second pin still holds the version";
-  again.release();
-  EXPECT_FALSE(store.acquire(1)) << "all pins gone: version forgotten";
-  EXPECT_FALSE(store.acquire(999));
-}
+/// True when `Store` can look a snapshot up by version.
+template <typename Store>
+constexpr bool kAddressesVersions =
+    requires(Store& s) { s.acquire(std::uint64_t{1}); };
 
 TEST(SnapshotStore, PinnedDeltaBaseCannotRaceAPublish) {
-  // The delta encoder's contract (ISSUE 6 satellite): holding a pin on
-  // the base version, a concurrent publisher can never invalidate it --
-  // the base stays bit-identical however many publishes land mid-encode.
+  // The delta encoder's contract: it holds the Ptr its publish returned,
+  // and a concurrent publisher can never invalidate that base -- it stays
+  // bit-identical however many publishes land mid-encode.  The Ptr is the
+  // only handle: the store keeps current and previous and addresses no
+  // older version, so the base lives exactly as long as its holder.
   SnapshotStore store;
-  store.publish(tiny_model(1.0), 1.0);
-  SnapshotStore::Pin base = store.acquire(1);
-  ASSERT_TRUE(base);
+  SnapshotStore::Ptr base = store.publish(tiny_model(1.0), 1.0);
+  const std::weak_ptr<const ModelSnapshot> watch = base;
 
   std::thread publisher([&] {
     for (int v = 2; v <= 200; ++v) store.publish(tiny_model(v), v);
   });
   for (int i = 0; i < 200; ++i) {
-    SnapshotStore::Pin reread = store.acquire(1);
-    ASSERT_TRUE(reread);
-    ASSERT_DOUBLE_EQ(reread->taken_at, 1.0);
-    ASSERT_EQ(reread->model.links().size(), 2u);
-    ASSERT_GE(reread->model.links()[0].history.size(), 1u);
+    ASSERT_EQ(base->version, 1u);
+    ASSERT_DOUBLE_EQ(base->taken_at, 1.0);
+    ASSERT_EQ(base->model.links().size(), 2u);
+    ASSERT_GE(base->model.links()[0].history.size(), 1u);
+    const SnapshotStore::Ptr cur = store.current();
+    ASSERT_GE(cur->version, 1u);
   }
   publisher.join();
   EXPECT_EQ(store.version(), 200u);
   EXPECT_DOUBLE_EQ(base->taken_at, 1.0);
+  EXPECT_EQ(base.use_count(), 1) << "the store retains only v199 and v200";
+  base.reset();
+  EXPECT_TRUE(watch.expired());
+  EXPECT_FALSE(kAddressesVersions<SnapshotStore>)
+      << "one lifetime rule: hold the Ptr";
 }
 
 // --- QueryService semantics ---
