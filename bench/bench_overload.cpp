@@ -25,7 +25,9 @@
 // Flags:
 //   --check   exit nonzero if victim_p99_ratio > 2.0, victim_goodput
 //             < 0.95, hot_shed_share < 0.90, hot_shed_rate < 0.01, or
-//             retry_amplification > 1.3
+//             retry_amplification > 1.3.  A checked run never rewrites
+//             the committed BENCH_overload.json: it writes its JSON
+//             only where --out names.
 //   --out F   write the JSON to F instead of BENCH_overload.json
 #include <algorithm>
 #include <atomic>
@@ -176,7 +178,6 @@ StormResult run_storm(bool with_hot) {
   so.staleness_slo = 1e9;
   so.poll_interval = 3ms;
   so.cache_capacity = 256;
-  so.brownout_halflife = 30.0;
   auto svc = h.serve(so);
 
   std::vector<int> victims;
@@ -267,11 +268,12 @@ int main(int argc, char** argv) {
   using bench::rule;
 
   bool check = false;
-  std::string out = "BENCH_overload.json";
+  std::string out;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) check = true;
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out = argv[++i];
   }
+  if (out.empty() && !check) out = "BENCH_overload.json";
 
   std::cout << "Overload control plane: result cache, hot-tenant storm\n\n";
 
@@ -333,23 +335,25 @@ int main(int argc, char** argv) {
             << storm.hot.attempts << " attempts, " << storm.cache_hits
             << " cache hits)\n";
 
-  std::ofstream json(out);
-  json << "{\n"
-       << "  \"cache\": {\"exec_p50_us\": " << fixed(cache.exec_p50_us, 1)
-       << ", \"hit_p50_us\": " << fixed(cache.hit_p50_us, 1)
-       << ", \"hit_rate\": " << fixed(cache.hit_rate, 4)
-       << ", \"queries\": " << cache.queries << "},\n"
-       << "  \"storm\": {\"victim_p99_ratio\": " << fixed(ratio, 2)
-       << ", \"worst_victim_p99_us\": " << fixed(worst_storm_us, 0)
-       << ", \"victim_goodput\": " << fixed(storm.worst_goodput, 4)
-       << ", \"hot_shed_share\": " << fixed(shed_share, 4)
-       << ", \"retry_amplification\": " << fixed(amplification, 3)
-       << ", \"total_sheds\": " << storm.total_sheds
-       << ", \"degraded\": " << storm.degraded
-       << ", \"cache_hits\": " << storm.cache_hits
-       << ", \"hot_requests\": " << storm.hot.requests << "}\n"
-       << "}\n";
-  std::cout << "\nwrote " << out << "\n";
+  if (!out.empty()) {
+    std::ofstream json(out);
+    json << "{\n"
+         << "  \"cache\": {\"exec_p50_us\": " << fixed(cache.exec_p50_us, 1)
+         << ", \"hit_p50_us\": " << fixed(cache.hit_p50_us, 1)
+         << ", \"hit_rate\": " << fixed(cache.hit_rate, 4)
+         << ", \"queries\": " << cache.queries << "},\n"
+         << "  \"storm\": {\"victim_p99_ratio\": " << fixed(ratio, 2)
+         << ", \"worst_victim_p99_us\": " << fixed(worst_storm_us, 0)
+         << ", \"victim_goodput\": " << fixed(storm.worst_goodput, 4)
+         << ", \"hot_shed_share\": " << fixed(shed_share, 4)
+         << ", \"retry_amplification\": " << fixed(amplification, 3)
+         << ", \"total_sheds\": " << storm.total_sheds
+         << ", \"degraded\": " << storm.degraded
+         << ", \"cache_hits\": " << storm.cache_hits
+         << ", \"hot_requests\": " << storm.hot.requests << "}\n"
+         << "}\n";
+    std::cout << "\nwrote " << out << "\n";
+  }
 
   bool ok = true;
   if (check) {

@@ -23,7 +23,10 @@
 //
 // Flags:
 //   --check   exit nonzero if success rate < 99%, blackout > 1000 ms,
-//             delta apply p50 > 5000 us, or full resync > 5000 ms
+//             delta apply p50 > 5000 us, or full resync > 5000 ms.  A
+//             checked run never rewrites the committed
+//             BENCH_replication.json: it writes its JSON only where
+//             --out names.
 //   --out F   write the JSON to F instead of BENCH_replication.json
 #include <algorithm>
 #include <atomic>
@@ -303,11 +306,12 @@ int main(int argc, char** argv) {
   using bench::rule;
 
   bool check = false;
-  std::string out = "BENCH_replication.json";
+  std::string out;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) check = true;
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out = argv[++i];
   }
+  if (out.empty() && !check) out = "BENCH_replication.json";
 
   std::cout << "Replicated snapshot plane: delta sync, resync, failover\n\n";
 
@@ -341,27 +345,29 @@ int main(int argc, char** argv) {
   std::cout << "\n(" << soak.queries << " soak queries; "
             << "blackout = longest gap between successful answers)\n";
 
-  std::ofstream json(out);
-  json << "{\n"
-       << "  \"delta\": {\"encode_p50_us\": " << fixed(delta.encode_p50_us, 1)
-       << ", \"apply_p50_us\": " << fixed(delta.apply_p50_us, 1)
-       << ", \"delta_bytes_p50\": " << fixed(delta.delta_bytes_p50, 0)
-       << ", \"full_bytes\": " << delta.full_bytes
-       << ", \"rounds\": " << delta.rounds << "},\n"
-       << "  \"full_resync\": {\"encode_ms\": " << fixed(resync.encode_ms, 2)
-       << ", \"materialize_ms\": " << fixed(resync.materialize_ms, 2)
-       << ", \"bytes\": " << resync.bytes << ", \"hosts\": " << resync.hosts
-       << "},\n"
-       << "  \"failover\": {\"queries\": " << soak.queries
-       << ", \"success_rate\": " << fixed(soak.success_rate, 4)
-       << ", \"p99_us\": " << soak.p99_us
-       << ", \"blackout_ms\": " << fixed(soak.blackout_ms, 1)
-       << ", \"reroutes\": " << soak.reroutes
-       << ", \"restarts\": " << soak.restarts
-       << ", \"resyncs\": " << soak.resyncs << ", \"converged\": "
-       << (soak.converged ? "true" : "false") << "}\n"
-       << "}\n";
-  std::cout << "\nwrote " << out << "\n";
+  if (!out.empty()) {
+    std::ofstream json(out);
+    json << "{\n"
+         << "  \"delta\": {\"encode_p50_us\": " << fixed(delta.encode_p50_us, 1)
+         << ", \"apply_p50_us\": " << fixed(delta.apply_p50_us, 1)
+         << ", \"delta_bytes_p50\": " << fixed(delta.delta_bytes_p50, 0)
+         << ", \"full_bytes\": " << delta.full_bytes
+         << ", \"rounds\": " << delta.rounds << "},\n"
+         << "  \"full_resync\": {\"encode_ms\": " << fixed(resync.encode_ms, 2)
+         << ", \"materialize_ms\": " << fixed(resync.materialize_ms, 2)
+         << ", \"bytes\": " << resync.bytes << ", \"hosts\": " << resync.hosts
+         << "},\n"
+         << "  \"failover\": {\"queries\": " << soak.queries
+         << ", \"success_rate\": " << fixed(soak.success_rate, 4)
+         << ", \"p99_us\": " << soak.p99_us
+         << ", \"blackout_ms\": " << fixed(soak.blackout_ms, 1)
+         << ", \"reroutes\": " << soak.reroutes
+         << ", \"restarts\": " << soak.restarts
+         << ", \"resyncs\": " << soak.resyncs << ", \"converged\": "
+         << (soak.converged ? "true" : "false") << "}\n"
+         << "}\n";
+    std::cout << "\nwrote " << out << "\n";
+  }
 
   // Convergence is a correctness invariant, not a perf gate: enforced
   // with or without --check.

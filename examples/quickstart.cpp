@@ -66,10 +66,10 @@ int main() {
             << (result.all_fixed_satisfied() ? "yes" : "no") << "\n";
 
   // --- remos_flow_info_batch: N what-ifs, one snapshot, one call ---
-  // Independent mode answers each sub-query exactly as a lone call would
-  // (none of them sees the others), amortizing the shared routing work;
-  // the same batch can also go through any service::FlowInfoEndpoint as
-  // flow_info_batch.
+  // Independent mode answers each sub-query with its own flow_info call
+  // (none of them sees the others); the same batch can also go through
+  // any service::FlowInfoEndpoint as flow_info_batch, where it takes one
+  // admission slot.
   core::FlowBatchQuery batch;
   batch.mode = core::FlowBatchQuery::Mode::kIndependent;
   for (const char* dst : {"m-5", "m-7", "m-8"}) {

@@ -52,7 +52,6 @@ int main() {
   so.staleness_slo = 1e9;
   so.poll_interval = 3ms;
   so.cache_capacity = 256;     // enables the brownout ladder
-  so.brownout_halflife = 30.0;
   auto service = harness.serve(so);
 
   const int interactive = service->register_tenant("interactive", 4.0);

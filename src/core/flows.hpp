@@ -101,11 +101,9 @@ struct FlowQueryResult {
 ///                one independent flow in total.
 ///   kIndependent each sub-query is an isolated what-if: it sees the
 ///                measured background but NOT the other sub-queries.
-///                Answers are bit-for-bit identical to N sequential
-///                flow_info calls against the same snapshot; the batch
-///                only amortizes the shared work (routing index, logical
-///                graph builds for sub-queries naming the same
-///                endpoints).
+///                The batch makes N sequential flow_info calls against
+///                the same snapshot, so its answers are theirs bit for
+///                bit; a service admits it as one query.
 struct FlowBatchQuery {
   enum class Mode { kShared, kIndependent };
   Mode mode = Mode::kIndependent;

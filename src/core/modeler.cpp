@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <optional>
 #include <span>
 
@@ -68,7 +67,6 @@ GraphResult Modeler::get_graph_result(const std::vector<std::string>& nodes,
     out.error = e.what();
     return out;
   }
-  queries_answered_.fetch_add(1, std::memory_order_relaxed);
   const collector::NetworkModel& m = model_;
 
   // Partition the queried names so one typo degrades the answer instead
@@ -462,32 +460,24 @@ FlowQueryResult solve_on_graph(const FlowQuery& query,
 
 }  // namespace
 
-LogicalTopology Modeler::build_flow_graph(
-    const collector::NetworkModel& m, const std::vector<std::int32_t>& known,
-    const Timeframe& timeframe) const {
-  // The embedded topology lookup counts as a graph query of its own.
-  queries_answered_.fetch_add(1, std::memory_order_relaxed);
-  obs::TraceBuilder::Scoped span(trace_, "logical_build");
-  LogicalTopology topo;
-  if (!known.empty())
-    topo = build_logical_topology(m, known, timeframe, now(m), *predictor_,
-                                  LogicalOptions{});
-  return topo;
-}
-
 FlowQueryResult Modeler::flow_info(const FlowQuery& query) const {
   query.timeframe.validate();
-  queries_answered_.fetch_add(1, std::memory_order_relaxed);
   if (obs_) obs_->flow_queries.inc();
   // Endpoints -> logical graph for the query's timeframe.  Endpoints the
   // model does not know make their flows structured routable=false
   // results instead of a NotFoundError escaping the query API
-  // mid-session; the logical graph is built over the known ones.
+  // mid-session; the logical graph is built over the known ones (no
+  // known endpoint -> empty graph).
   const collector::NetworkModel& m = model_;
   const collector::RoutingIndex& routing = m.routing_index();
   const FlowEndpoints ends = resolve_endpoints(query, routing);
-  const LogicalTopology topo =
-      build_flow_graph(m, ends.known, query.timeframe);
+  LogicalTopology topo;
+  {
+    obs::TraceBuilder::Scoped span(trace_, "logical_build");
+    if (!ends.known.empty())
+      topo = build_logical_topology(m, ends.known, query.timeframe, now(m),
+                                    *predictor_, LogicalOptions{});
+  }
   return solve_on_graph(query, ends, routing, topo, obs_, trace_);
 }
 
@@ -555,38 +545,11 @@ FlowBatchResult Modeler::flow_info_batch(const FlowBatchQuery& batch) const {
     return out;
   }
 
-  // Independent mode: each sub-query is answered exactly as a lone
-  // flow_info call would answer it (same validation, same known-endpoint
-  // graph, same staged sweep), but sub-queries naming the same
-  // (endpoint set, timeframe) share one logical-graph build -- the
-  // graphs are pure functions of that key, so sharing is bit-for-bit
-  // invisible in the results.
-  struct GroupKey {
-    Timeframe::Kind kind;
-    Seconds window, horizon;
-    std::vector<std::int32_t> known;
-    auto operator<=>(const GroupKey&) const = default;
-  };
-  std::map<GroupKey, LogicalTopology> groups;
-  const collector::NetworkModel& m = model_;
-  const collector::RoutingIndex& routing = m.routing_index();
+  // Independent mode: each sub-query is answered by a lone flow_info
+  // call; a malformed one lands in its error slot.
   for (std::size_t i = 0; i < batch.queries.size(); ++i) {
-    const FlowQuery& q = batch.queries[i];
     try {
-      q.timeframe.validate();
-      queries_answered_.fetch_add(1, std::memory_order_relaxed);
-      if (obs_) obs_->flow_queries.inc();
-      const FlowEndpoints ends = resolve_endpoints(q, routing);
-      GroupKey key{q.timeframe.kind, q.timeframe.window, q.timeframe.horizon,
-                   ends.known};
-      auto g = groups.find(key);
-      if (g == groups.end())
-        g = groups
-                .emplace(std::move(key),
-                         build_flow_graph(m, ends.known, q.timeframe))
-                .first;
-      out.results[i] =
-          solve_on_graph(q, ends, routing, g->second, obs_, trace_);
+      out.results[i] = flow_info(batch.queries[i]);
     } catch (const std::exception& e) {
       out.errors[i] = e.what();
     }

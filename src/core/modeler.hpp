@@ -17,7 +17,6 @@
 // collector state.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 
@@ -131,33 +130,20 @@ class Modeler {
   /// sub-query is structurally malformed (the combined solve has no
   /// per-sub isolation).
   ///
-  /// Independent mode answers each sub-query exactly as a lone
-  /// flow_info call would (bit-for-bit), building each distinct
-  /// (endpoint set, timeframe) logical graph once and sharing it across
-  /// the sub-queries that need it.  A malformed sub-query lands in
-  /// FlowBatchResult::errors instead of failing the batch.
+  /// Independent mode answers each sub-query with its own flow_info
+  /// call, so each result is bit-for-bit the lone query's.  A malformed
+  /// sub-query lands in FlowBatchResult::errors instead of failing the
+  /// batch.
   ///
   /// An empty batch throws InvalidArgument.
   FlowBatchResult flow_info_batch(const FlowBatchQuery& batch) const;
 
-  /// Number of queries answered (overhead bookkeeping for the ablation).
-  std::size_t queries_answered() const {
-    return queries_answered_.load(std::memory_order_relaxed);
-  }
-
  private:
   Seconds now(const collector::NetworkModel& m) const;
-  /// Logical topology over the known flow endpoints (RoutingIndex ids,
-  /// ascending), exactly as a lone flow_info builds it (no endpoints ->
-  /// empty graph).
-  LogicalTopology build_flow_graph(const collector::NetworkModel& m,
-                                   const std::vector<std::int32_t>& known,
-                                   const Timeframe& timeframe) const;
 
   const collector::NetworkModel& model_;
   std::function<Seconds()> clock_;
   std::unique_ptr<Predictor> predictor_ = make_default_predictor();
-  mutable std::atomic<std::size_t> queries_answered_{0};
   const ModelerObs* obs_ = nullptr;      // shared, pre-resolved handles
   obs::TraceBuilder* trace_ = nullptr;   // per-query, single-threaded
 };

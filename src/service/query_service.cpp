@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <type_traits>
 #include <utility>
 
 #include "service/result_cache.hpp"
@@ -37,8 +36,7 @@ obs::SpanTree one_span(const char* name, Clock::time_point since) {
 
 QueryService::QueryService(Options options)
     : options_(options),
-      admission_({options.queue_capacity, options.reserved_fraction,
-                  options.max_tenants}) {
+      admission_({options.queue_capacity, options.reserved_fraction}) {
   if (options_.workers == 0)
     throw InvalidArgument("QueryService: zero workers");
   if (options_.default_deadline.count() <= 0)
@@ -47,11 +45,6 @@ QueryService::QueryService(Options options)
     throw InvalidArgument("QueryService: negative staleness SLO");
   if (options_.poll_interval.count() <= 0)
     throw InvalidArgument("QueryService: non-positive poll interval");
-  if (options_.brownout_halflife < 0)
-    throw InvalidArgument("QueryService: negative brownout half-life");
-  if (options_.adaptive)
-    aimd_ = std::make_unique<AimdController>(options_.aimd,
-                                             options_.default_deadline);
   graph_cache_ = std::make_unique<ResultCache<GraphResponse>>(
       ResultCache<GraphResponse>::Options{options_.cache_capacity});
   flow_cache_ = std::make_unique<ResultCache<FlowInfoResponse>>(
@@ -106,10 +99,6 @@ void QueryService::set_obs(const obs::Obs& o, const obs::Labels& labels) {
     deadline_slack_ = o.metrics->histogram(
         "remos_service_deadline_slack_seconds", obs::default_time_buckets(),
         labels, "Wall-clock budget remaining when the answer landed");
-    budget_gauge_ = o.metrics->gauge(
-        "remos_service_admission_budget", labels,
-        "Current global admission budget (AIMD-resized when adaptive)");
-    budget_gauge_.set(static_cast<double>(admission_.capacity()));
     modeler_obs_ = core::ModelerObs::resolve(o);
   }
   if (o.series) {
@@ -211,7 +200,7 @@ void QueryService::run_job(const std::shared_ptr<Pending<Response>>& state,
     r = execute();
   }
   const auto done = Clock::now();
-  const std::uint64_t us = elapsed_us(state->enqueued, done);
+  const std::uint64_t us = elapsed_us(state->arrived, done);
   r.meta.latency = std::chrono::microseconds(us);
   latency_.observe(static_cast<double>(us) * 1e-6);
   if (obs::TimeSeries* ts =
@@ -220,8 +209,6 @@ void QueryService::run_job(const std::shared_ptr<Pending<Response>>& state,
   deadline_slack_.observe(
       std::max(0.0, to_seconds(state->deadline - done)));
   admission_.release(state->tenant);
-  if (aimd_ && aimd_->on_complete(std::chrono::microseconds(us), admission_))
-    budget_gauge_.set(static_cast<double>(admission_.capacity()));
   state->promise.set_value(std::move(r));
 }
 
@@ -230,12 +217,17 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
                               Solve solve) {
   submitted_counter_.inc();
   const Seconds slo = query.max_staleness.value_or(options_.staleness_slo);
-  // A traced query takes the same path as any other; an answer served
-  // from the cache carries one span, timed from here.
-  const auto arrived = query.trace ? Clock::now() : Clock::time_point{};
+  // Every answer's latency, deadline and trace are timed from this one
+  // reading.  A traced query takes the same path as any other; an answer
+  // served from the cache carries one span.
+  const auto arrived = Clock::now();
+  const auto since_arrival = [arrived] {
+    return std::chrono::microseconds(elapsed_us(arrived, Clock::now()));
+  };
   std::string key = cache->enabled() ? canonical_key(query) : std::string{};
   if (!key.empty()) {
     if (std::optional<Response> hit = cache_fresh_hit(cache, key, slo)) {
+      hit->meta.latency = since_arrival();
       if (query.trace) hit->meta.trace = one_span("cache_hit", arrived);
       cache_hit_counter_.inc();
       count_outcome(hit->meta.status);
@@ -243,9 +235,8 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
     }
   }
 
-  const auto enqueued = Clock::now();
   const auto deadline =
-      enqueued + query.deadline.value_or(options_.default_deadline);
+      arrived + query.deadline.value_or(options_.default_deadline);
   const int tenant = query.tenant;
   Response r;
   if (!admission_.try_acquire(tenant)) {
@@ -259,8 +250,7 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
     } else {
       r.meta.status = QueryStatus::kOverloaded;
     }
-    r.meta.latency =
-        std::chrono::microseconds(elapsed_us(enqueued, Clock::now()));
+    r.meta.latency = since_arrival();
     count_outcome(r.meta.status);
     return r;
   }
@@ -268,7 +258,7 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
   note_shed(false);
 
   auto state = std::make_shared<Pending<Response>>();
-  state->enqueued = enqueued;
+  state->arrived = arrived;
   state->deadline = deadline;
   state->tenant = tenant;
   std::future<Response> fut = state->promise.get_future();
@@ -286,10 +276,8 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
       run_job(state, [&] {
         Seconds taken_at = 0;
         Response out =
-            answer<Response>(q, slo, state->enqueued, solve, taken_at);
+            answer<Response>(q, slo, state->arrived, solve, taken_at);
         cache_store(cache, key, out, taken_at);
-        if constexpr (std::is_same_v<Query, FlowBatchInfoQuery>)
-          warm_flow_cache(q, out, taken_at);
         return out;
       });
     });
@@ -304,21 +292,21 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
   }
   state->abandoned.store(true, std::memory_order_release);
   r.meta.status = QueryStatus::kExpired;
-  r.meta.latency = std::chrono::microseconds(elapsed_us(enqueued, Clock::now()));
+  r.meta.latency = since_arrival();
   count_outcome(r.meta.status);
   return r;
 }
 
 template <typename Response, typename Query, typename Solve>
 Response QueryService::answer(const Query& query, Seconds staleness_budget,
-                              std::chrono::steady_clock::time_point enqueued,
+                              std::chrono::steady_clock::time_point arrived,
                               const Solve& solve, Seconds& taken_at) {
   Response r;
   // Epoch = submission, so the "admission" span (queue wait) lines up
   // with the worker-side spans in one tree.
-  obs::TraceBuilder tb(enqueued);
+  obs::TraceBuilder tb(arrived);
   obs::TraceBuilder* tbp = query.trace ? &tb : nullptr;
-  if (tbp) tb.add_complete("admission", 0, elapsed_us(enqueued, Clock::now()));
+  if (tbp) tb.add_complete("admission", 0, elapsed_us(arrived, Clock::now()));
 
   SnapshotStore::Ptr snap;
   {
@@ -389,10 +377,8 @@ std::optional<Response> QueryService::cache_brownout(
   if (!hit) return std::nullopt;
   Response r = std::move(hit->response);
   const Seconds age = std::max(0.0, model_now() - hit->taken_at);
-  const double factor = options_.brownout_halflife > 0
-                            ? std::exp2(-age / options_.brownout_halflife)
-                            : 1.0;
-  discount_accuracy(r, factor);
+  constexpr Seconds kHalflife = 30.0;
+  discount_accuracy(r, std::exp2(-age / kHalflife));
   r.meta.status = QueryStatus::kDegraded;
   r.meta.snapshot_version = hit->version;
   r.meta.snapshot_age = age;
@@ -415,27 +401,6 @@ void QueryService::cache_store(ResultCache<Response>* cache,
   payload.meta.trace = obs::SpanTree{};  // a hit never returns this trace
   cache->insert(key, std::move(payload), response.meta.snapshot_version,
                 taken_at);
-}
-
-void QueryService::warm_flow_cache(const FlowBatchInfoQuery& query,
-                                   const FlowBatchResponse& response,
-                                   Seconds taken_at) {
-  // Independent-mode sub-answers are exactly what the lone query would
-  // have produced, so warm the single-query fingerprints too: a later
-  // flow_info for any sub-query is an O(1) fresh hit.
-  if (!response.meta.ok() ||
-      query.batch.mode != core::FlowBatchQuery::Mode::kIndependent ||
-      !flow_cache_->enabled())
-    return;
-  for (std::size_t i = 0; i < query.batch.queries.size(); ++i) {
-    if (!response.errors[i].empty()) continue;
-    FlowInfoQuery single;
-    single.query = query.batch.queries[i];
-    FlowInfoResponse sr;
-    sr.meta = response.meta;
-    sr.result = response.results[i];
-    cache_store(flow_cache_.get(), canonical_key(single), sr, taken_at);
-  }
 }
 
 GraphResponse QueryService::get_graph(GraphQuery query) {
@@ -465,7 +430,7 @@ FlowInfoResponse QueryService::flow_info(FlowInfoQuery query) {
 FlowBatchResponse QueryService::flow_info_batch(FlowBatchInfoQuery query) {
   batch_counter_.inc();
   // The whole batch is ONE admission unit: one tenant slot, one queue
-  // entry, one solve -- that is the amortization the batch API sells.
+  // entry, one snapshot -- that is the amortization the batch API sells.
   return submit(batch_cache_.get(), std::move(query),
                 [](const core::Modeler& m, const FlowBatchInfoQuery& q,
                    FlowBatchResponse& out) {
@@ -491,7 +456,6 @@ ServiceStats QueryService::stats() const {
   s.snapshot_version = store_.version();
   s.cache_hits = cache_hit_counter_.value();
   s.batch_queries = batch_counter_.value();
-  s.admission_budget = admission_.capacity();
   s.in_flight_high_water = admission_.high_water();
   s.p50_us = static_cast<std::uint64_t>(latency_.quantile(0.50) * 1e6);
   s.p99_us = static_cast<std::uint64_t>(latency_.quantile(0.99) * 1e6);

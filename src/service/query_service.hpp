@@ -86,9 +86,6 @@ struct ServiceStats {
   /// Explicit flow_info_batch calls answered (each counted once however
   /// many sub-queries it carried).
   std::uint64_t batch_queries = 0;
-  /// Current global admission budget (queue_capacity unless the AIMD
-  /// controller has moved it).
-  std::size_t admission_budget = 0;
   std::size_t in_flight_high_water = 0;
   /// Service-side completion latency quantiles (executed queries only),
   /// conservative bucket upper bounds, read from this service's own
@@ -104,14 +101,11 @@ class QueryService : public FlowInfoEndpoint {
     /// Worker threads answering queries.
     std::size_t workers = 4;
     /// Admission bound: queries in flight (queued + executing) beyond
-    /// this are shed with kOverloaded.  With `adaptive`, this is only the
-    /// starting budget.
+    /// this are shed with kOverloaded (the TenantAdmission budget).
     std::size_t queue_capacity = 64;
     /// Fraction of the budget reserved as weighted per-tenant slices;
     /// the rest is a shared pool (see TenantAdmission::Options).
     double reserved_fraction = 0.75;
-    /// Upper bound on register_tenant calls.
-    std::size_t max_tenants = 64;
     /// Deadline for queries that do not carry their own.
     std::chrono::microseconds default_deadline{100'000};
     /// Staleness SLO for queries that do not carry their own: answers
@@ -119,19 +113,10 @@ class QueryService : public FlowInfoEndpoint {
     Seconds staleness_slo = 10.0;
     /// Wall-clock pacing between background poll steps.
     std::chrono::microseconds poll_interval{2'000};
-    /// AIMD concurrency control: let the observed completion p99 resize
-    /// the admission budget between aimd.min_budget and aimd.max_budget.
-    /// Off by default (fixed queue_capacity, the pre-PR-7 behaviour).
-    bool adaptive = false;
-    AimdController::Options aimd;
     /// Result-cache fingerprints retained per response type; 0 disables
     /// caching and brownout entirely (default: existing callers see the
     /// exact pre-cache service).
     std::size_t cache_capacity = 0;
-    /// Brownout accuracy half-life: a cached answer served under
-    /// overload is discounted by 2^(-age / halflife) (model-clock age of
-    /// its snapshot).  0 serves brownout answers undiscounted.
-    Seconds brownout_halflife = 30.0;
   };
 
   explicit QueryService(Options options);
@@ -180,18 +165,16 @@ class QueryService : public FlowInfoEndpoint {
   /// any thread.  Always return by the query's deadline; never throw.
   GraphResponse get_graph(GraphQuery query) override;
   FlowInfoResponse flow_info(FlowInfoQuery query) override;
-  /// Explicit batch: one admission slot, one snapshot, one solve for the
-  /// whole batch.  Independent-mode sub-results additionally warm the
-  /// single-query result cache under their own fingerprints.
+  /// Explicit batch: one admission slot and one snapshot for the whole
+  /// batch, cached under the batch's own fingerprint.
   FlowBatchResponse flow_info_batch(FlowBatchInfoQuery query) override;
 
   const SnapshotStore& snapshots() const { return store_; }
   const TenantAdmission& admission() const { return admission_; }
-  /// Mutable admission surface: an external controller may resize the
-  /// budget; tests pre-occupy slots to drive the shed/brownout path
-  /// deterministically.  Slots acquired here must be released here.
+  /// Mutable admission surface: tests pre-occupy slots to drive the
+  /// shed/brownout path deterministically.  Slots acquired here must be
+  /// released here.
   TenantAdmission& admission() { return admission_; }
-  const AimdController* aimd() const { return aimd_.get(); }
   const ResultCache<GraphResponse>* graph_cache() const {
     return graph_cache_.get();
   }
@@ -209,7 +192,7 @@ class QueryService : public FlowInfoEndpoint {
   struct Pending {
     std::promise<Response> promise;
     std::atomic<bool> abandoned{false};
-    std::chrono::steady_clock::time_point enqueued;
+    std::chrono::steady_clock::time_point arrived;
     std::chrono::steady_clock::time_point deadline;
     int tenant = TenantAdmission::kDefaultTenant;
   };
@@ -227,8 +210,9 @@ class QueryService : public FlowInfoEndpoint {
   template <typename Response, typename Query, typename Solve>
   /// Executes `query` against the current snapshot; sets `taken_at` to
   /// that snapshot's model clock (the cache entry's brownout anchor).
+  /// Its trace is timed from `arrived`, the submission.
   Response answer(const Query& query, Seconds staleness_budget,
-                  std::chrono::steady_clock::time_point enqueued,
+                  std::chrono::steady_clock::time_point arrived,
                   const Solve& solve, Seconds& taken_at);
   /// Fresh-hit fast path: serves `key` from `cache` iff the cached
   /// version matches the store's current version.  O(1): no admission
@@ -238,8 +222,9 @@ class QueryService : public FlowInfoEndpoint {
                                           const std::string& key,
                                           Seconds staleness_budget);
   /// Brownout rung: any-version cached answer, accuracy discounted by
-  /// snapshot age, status kDegraded.  nullopt when the cache has nothing
-  /// (or `key` is empty: caching off).
+  /// 2^(-age / 30 s) (model-clock age of its snapshot), status
+  /// kDegraded.  nullopt when the cache has nothing (or `key` is empty:
+  /// caching off).
   template <typename Response>
   std::optional<Response> cache_brownout(ResultCache<Response>* cache,
                                          const std::string& key);
@@ -249,10 +234,6 @@ class QueryService : public FlowInfoEndpoint {
   template <typename Response>
   void cache_store(ResultCache<Response>* cache, const std::string& key,
                    const Response& response, Seconds taken_at);
-  /// Stores an independent-mode batch's sub-answers under their
-  /// single-query fingerprints.
-  void warm_flow_cache(const FlowBatchInfoQuery& query,
-                       const FlowBatchResponse& response, Seconds taken_at);
   /// Points the counters stats() reads at `metrics`, under `labels`.
   void resolve_counters(obs::MetricsRegistry& metrics,
                         const obs::Labels& labels);
@@ -267,7 +248,6 @@ class QueryService : public FlowInfoEndpoint {
   Options options_;
   SnapshotStore store_;
   TenantAdmission admission_;
-  std::unique_ptr<AimdController> aimd_;
   std::unique_ptr<ResultCache<GraphResponse>> graph_cache_;
   std::unique_ptr<ResultCache<FlowInfoResponse>> flow_cache_;
   std::unique_ptr<ResultCache<FlowBatchResponse>> batch_cache_;
@@ -299,7 +279,6 @@ class QueryService : public FlowInfoEndpoint {
   obs::Gauge snapshot_age_gauge_;
   obs::Histogram latency_;        // seconds, submission -> response
   obs::Histogram deadline_slack_; // seconds left when the answer landed
-  obs::Gauge budget_gauge_;
   std::atomic<bool> shedding_{false};  // edge detector for episode events
 
   // History series (telemetry plane; null until set_obs with a store):

@@ -10,10 +10,7 @@ TenantAdmission::TenantAdmission(Options options) : options_(options) {
     throw InvalidArgument("TenantAdmission: zero budget");
   if (options_.reserved_fraction < 0.0 || options_.reserved_fraction > 1.0)
     throw InvalidArgument("TenantAdmission: reserved_fraction outside [0,1]");
-  if (options_.max_tenants == 0)
-    throw InvalidArgument("TenantAdmission: zero max_tenants");
-  tenants_.reserve(options_.max_tenants);
-  budget_.store(options_.budget, std::memory_order_release);
+  tenants_.reserve(kMaxTenants);
   {
     std::lock_guard<std::mutex> lk(mutex_);
     auto def = std::make_unique<Tenant>();
@@ -30,8 +27,8 @@ int TenantAdmission::register_tenant(const std::string& name, double weight) {
   if (!(weight > 0.0))
     throw InvalidArgument("TenantAdmission: weight must be positive");
   std::lock_guard<std::mutex> lk(mutex_);
-  if (tenants_.size() >= options_.max_tenants)
-    throw InvalidArgument("TenantAdmission: max_tenants exhausted");
+  if (tenants_.size() >= kMaxTenants)
+    throw InvalidArgument("TenantAdmission: kMaxTenants exhausted");
   for (const auto& t : tenants_)
     if (t->name == name)
       throw InvalidArgument("TenantAdmission: tenant '" + name +
@@ -43,7 +40,7 @@ int TenantAdmission::register_tenant(const std::string& name, double weight) {
   tenants_.push_back(std::move(t));
   const int id = static_cast<int>(tenants_.size() - 1);
   // Publish the new count only after the slot is fully constructed; the
-  // vector never reallocates (reserved at max_tenants), so concurrent
+  // vector never reallocates (reserved at kMaxTenants), so concurrent
   // acquires index safely.
   tenant_count_.store(tenants_.size(), std::memory_order_release);
   recompute_slices();
@@ -78,8 +75,7 @@ const TenantAdmission::Tenant& TenantAdmission::slot(int tenant) const {
 }
 
 void TenantAdmission::recompute_slices() {
-  const std::size_t budget = budget_.load(std::memory_order_acquire);
-  const std::size_t n = tenants_.size();
+  const std::size_t budget = options_.budget;
   double total_weight = 0;
   for (const auto& t : tenants_) total_weight += t->weight;
   const double reserved_budget =
@@ -99,7 +95,6 @@ void TenantAdmission::recompute_slices() {
   // by at most n-1 -- bounded and documented rather than starving).
   pool_size_.store(reserved_total >= budget ? 0 : budget - reserved_total,
                    std::memory_order_release);
-  (void)n;
 }
 
 bool TenantAdmission::try_acquire(int tenant) {
@@ -161,13 +156,6 @@ void TenantAdmission::release(int tenant) {
     t.reserved_in_use.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-void TenantAdmission::set_budget(std::size_t budget) {
-  if (budget == 0) throw InvalidArgument("TenantAdmission: zero budget");
-  std::lock_guard<std::mutex> lk(mutex_);
-  budget_.store(budget, std::memory_order_release);
-  recompute_slices();
-}
-
 TenantAdmission::TenantStats TenantAdmission::tenant_stats(int tenant) const {
   const Tenant& t = slot(tenant);
   TenantStats s;
@@ -193,67 +181,6 @@ std::uint64_t TenantAdmission::shed() const {
   const std::size_t n = tenant_count();
   for (std::size_t i = 0; i < n; ++i) sum += tenants_[i]->shed.value();
   return sum;
-}
-
-// ---------------------------------------------------------------------------
-// AimdController
-
-AimdController::AimdController(Options options,
-                               std::chrono::microseconds deadline)
-    : options_(options),
-      target_p99_(std::chrono::microseconds(static_cast<std::int64_t>(
-          static_cast<double>(deadline.count()) * options.target_ratio))) {
-  if (options_.min_budget == 0 || options_.max_budget < options_.min_budget)
-    throw InvalidArgument("AimdController: degenerate budget bounds");
-  if (options_.window == 0)
-    throw InvalidArgument("AimdController: zero window");
-  if (options_.decrease_factor <= 0.0 || options_.decrease_factor >= 1.0)
-    throw InvalidArgument("AimdController: decrease_factor outside (0,1)");
-  if (target_p99_.count() <= 0)
-    throw InvalidArgument("AimdController: non-positive latency target");
-  window_us_.reserve(options_.window);
-}
-
-bool AimdController::on_complete(std::chrono::microseconds latency,
-                                 TenantAdmission& admission) {
-  std::uint64_t p99_us = 0;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (!primed_) {
-      // Adopt whatever budget the admission layer started with; the
-      // controller owns it from here on.
-      budget_.store(
-          std::clamp(admission.capacity(), options_.min_budget,
-                     options_.max_budget),
-          std::memory_order_relaxed);
-      primed_ = true;
-    }
-    window_us_.push_back(
-        static_cast<std::uint64_t>(std::max<std::int64_t>(0, latency.count())));
-    if (window_us_.size() < options_.window) return false;
-    const std::size_t idx = static_cast<std::size_t>(
-        0.99 * static_cast<double>(window_us_.size()));
-    std::nth_element(window_us_.begin(),
-                     window_us_.begin() + static_cast<std::ptrdiff_t>(idx),
-                     window_us_.end());
-    p99_us = window_us_[idx];
-    window_us_.clear();
-  }
-
-  std::size_t budget = budget_.load(std::memory_order_relaxed);
-  if (p99_us > static_cast<std::uint64_t>(target_p99_.count())) {
-    budget = std::max(
-        options_.min_budget,
-        static_cast<std::size_t>(std::floor(
-            static_cast<double>(budget) * options_.decrease_factor)));
-    decreases_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    budget = std::min(options_.max_budget, budget + options_.additive_step);
-    increases_.fetch_add(1, std::memory_order_relaxed);
-  }
-  budget_.store(budget, std::memory_order_relaxed);
-  admission.set_budget(budget);
-  return true;
 }
 
 }  // namespace remos::service

@@ -1,5 +1,5 @@
 // Tenant-aware overload control: weighted fair admission over a bounded
-// (and adaptively resized) global budget.
+// global budget, fixed at construction.
 //
 // A gate that only bounds *total* queries in flight with one counter
 // lets a single hot client saturate the shared queue, and every other
@@ -22,20 +22,13 @@
 //
 // Hot path is lock-free: per-tenant CAS on the reserved count, CAS on
 // the pool count, one registry counter per admission or shed.
-// Registration and budget resizing take a mutex (setup / controller
-// cadence, not per query); tenant storage is pre-reserved so
-// registration never moves slots under a concurrent acquire.
-//
-// AimdController closes the loop on the budget itself: additive increase
-// while the observed completion p99 sits below its target (a fraction of
-// the deadline), multiplicative decrease when the service falls behind --
-// the TCP congestion-control idiom applied to a concurrency limit, so
-// the cap tracks what the hardware actually sustains instead of a
-// hand-tuned constant.
+// Registration takes a mutex and re-slices the budget (setup, not per
+// query; it may still land while queries are served); tenant storage is
+// pre-reserved so registration never moves slots under a concurrent
+// acquire.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -53,27 +46,28 @@ class TenantAdmission {
   /// callers that never register anything get one global gate through
   /// it.
   static constexpr int kDefaultTenant = 0;
+  /// Upper bound on registered tenants, the default one included
+  /// (storage is pre-reserved so the lock-free hot path never races a
+  /// reallocation).
+  static constexpr std::size_t kMaxTenants = 64;
 
   struct Options {
     /// Global budget: queries in flight (queued + executing) across all
-    /// tenants.  Resized at runtime by set_budget (AIMD controller).
+    /// tenants.
     std::size_t budget = 64;
     /// Fraction of the budget partitioned into weighted reserved slices;
     /// the remainder is a shared pool any tenant may borrow from once
     /// its own slice is full.  1.0 = strict partition, 0.0 = one
     /// global gate.
     double reserved_fraction = 0.75;
-    /// Upper bound on registered tenants (storage is pre-reserved so the
-    /// lock-free hot path never races a reallocation).
-    std::size_t max_tenants = 64;
   };
 
   TenantAdmission() : TenantAdmission(Options{}) {}
   explicit TenantAdmission(Options options);
 
   /// Registers a tenant and returns its id, resolving its admitted/shed
-  /// counters in the current registry.  Throws when max_tenants is
-  /// exhausted, the weight is not positive, or the name is taken (a name
+  /// counters in the current registry.  Throws when kMaxTenants are
+  /// registered, the weight is not positive, or the name is taken (a name
   /// keys the tenant's series).  Thread-safe against concurrent acquires.
   int register_tenant(const std::string& name, double weight);
 
@@ -90,15 +84,8 @@ class TenantAdmission {
   bool try_acquire(int tenant);
   void release(int tenant);
 
-  /// Resizes the global budget and recomputes every reserved slice
-  /// (AIMD controller cadence).  In-flight queries above a shrunken
-  /// slice drain naturally; no new admissions land until they do.
-  void set_budget(std::size_t budget);
-
   // --- monitoring (global totals across all tenants) -------------------
-  std::size_t capacity() const {
-    return budget_.load(std::memory_order_acquire);
-  }
+  std::size_t capacity() const { return options_.budget; }
   std::size_t in_flight() const {
     return in_flight_.load(std::memory_order_relaxed);
   }
@@ -142,7 +129,7 @@ class TenantAdmission {
 
   Tenant& slot(int tenant);
   const Tenant& slot(int tenant) const;
-  /// Recomputes reserved slices + pool from budget_ and weights.
+  /// Recomputes reserved slices + pool from the budget and weights.
   /// Caller holds mutex_.
   void recompute_slices();
   /// Resolves `t`'s counters in metrics_.  Caller holds mutex_.
@@ -151,65 +138,17 @@ class TenantAdmission {
 
   Options options_;
   obs::MetricsRegistry own_metrics_;  // the counters' home until wired
-  std::mutex mutex_;  // registration, budget resize, metrics_, labels_
+  std::mutex mutex_;  // registration, metrics_, labels_
   obs::MetricsRegistry* metrics_ = &own_metrics_;
   obs::Labels labels_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::atomic<std::size_t> tenant_count_{0};
 
-  std::atomic<std::size_t> budget_{0};
   std::atomic<std::size_t> pool_size_{0};
   std::atomic<std::size_t> pool_in_use_{0};
 
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::size_t> high_water_{0};
-};
-
-/// Additive-increase / multiplicative-decrease controller for the global
-/// admission budget.  Feed it every executed query's completion latency;
-/// every `window` completions it compares the window's p99 against
-/// `target_ratio * deadline` and grows the budget one additive step
-/// (service keeping up: admit more) or shrinks it multiplicatively
-/// (falling behind: shed earlier, protect the admitted).
-class AimdController {
- public:
-  struct Options {
-    std::size_t min_budget = 8;
-    std::size_t max_budget = 4096;
-    std::size_t additive_step = 4;
-    double decrease_factor = 0.7;
-    /// Completions per control decision.
-    std::size_t window = 256;
-    /// p99 target as a fraction of the default deadline.
-    double target_ratio = 0.5;
-  };
-
-  AimdController(Options options, std::chrono::microseconds deadline);
-
-  /// Records one executed query's latency; when a window closes, applies
-  /// the control decision to `admission` and returns true.
-  bool on_complete(std::chrono::microseconds latency,
-                   TenantAdmission& admission);
-
-  std::size_t budget() const {
-    return budget_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t increases() const {
-    return increases_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t decreases() const {
-    return decreases_.load(std::memory_order_relaxed);
-  }
-
- private:
-  Options options_;
-  std::chrono::microseconds target_p99_;
-  std::mutex mutex_;  // window buffer; touched once per completion
-  std::vector<std::uint64_t> window_us_;
-  std::atomic<std::size_t> budget_{0};
-  std::atomic<std::uint64_t> increases_{0};
-  std::atomic<std::uint64_t> decreases_{0};
-  bool primed_ = false;
 };
 
 }  // namespace remos::service

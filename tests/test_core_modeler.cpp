@@ -397,7 +397,6 @@ TEST(TimeframeValidation, SnapshotModelerMatchesLiveModeler) {
   EXPECT_TRUE(g.has_node("a"));
   EXPECT_TRUE(g.has_node("b"));
   ASSERT_GE(g.link_count(), 1u);
-  EXPECT_EQ(snap.queries_answered(), 1u);
 }
 
 }  // namespace

@@ -282,28 +282,6 @@ TEST(ServiceBatch, OneAdmissionUnitOneAnswer) {
   expect_result_eq(again.results[2], r.results[2], "cached sub[2]");
 }
 
-TEST(ServiceBatch, IndependentBatchWarmsSingleQueryFingerprints) {
-  QueryService::Options o;
-  o.workers = 2;
-  o.cache_capacity = 64;
-  QueryService svc(o);
-  svc.start();
-  svc.publish(tiny_model(0.0), 0.0);
-
-  FlowBatchInfoQuery batch;
-  batch.batch.mode = FlowBatchQuery::Mode::kIndependent;
-  batch.batch.queries = {tiny_flow(10).query, tiny_flow(20).query};
-  const FlowBatchResponse br = svc.flow_info_batch(batch);
-  ASSERT_TRUE(br.meta.ok()) << br.meta.error;
-
-  // A later lone flow_info for either sub-query never reaches a worker:
-  // the batch already stored its answer under the single-query key.
-  const FlowInfoResponse single = svc.flow_info(tiny_flow(20));
-  EXPECT_EQ(single.meta.status, QueryStatus::kAnswered);
-  EXPECT_TRUE(single.meta.from_cache);
-  expect_result_eq(single.result, br.results[1], "warmed sub[1]");
-}
-
 TEST(ServiceBatch, SharedContradictionComesBackStructured) {
   QueryService svc;
   svc.start();
