@@ -7,6 +7,8 @@
 // records a snapshot).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -50,6 +52,17 @@ inline std::unique_ptr<netsim::CbrTraffic> external_traffic(
 /// `"(" + fixed(...)`, where the right-hand side is a temporary.
 inline std::string parenthesized(const std::string& value) {
   return "(" + value + ")";
+}
+
+/// The p-quantile of `v` (sorted in place), by the nearest lower rank; 0
+/// when empty.
+inline std::uint64_t percentile(std::vector<std::uint64_t>& v, double p) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  const std::size_t idx = std::min(
+      v.size() - 1,
+      static_cast<std::size_t>(p * static_cast<double>(v.size())));
+  return v[idx];
 }
 
 /// Percent increase of b over a, formatted like the paper's tables.

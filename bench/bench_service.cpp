@@ -1,8 +1,8 @@
 // Service throughput/latency bench: the concurrent QueryService at
 // capacity and at 2x sustained overload.
 //
-// Phase A (capacity): client concurrency matched to the worker pool;
-// reports sustained qps and client-observed p50/p99.
+// Phase A (capacity): client concurrency matched to the execution
+// slots; reports sustained qps and client-observed p50/p99.
 //
 // Phase B (2x overload): offered concurrency is twice the admission
 // bound, so the bounded queue must shed -- reports the shed rate and the
@@ -10,11 +10,13 @@
 // service actually guarantees (admitted latency stays bounded no matter
 // the offered load).
 //
-// Phase C (observability overhead): the capacity workload twice in one
-// process -- once with the harness's metrics/recorder wired through
-// every plane, once with every sink left a no-op -- and reports the p50
-// overhead of the wired run.  The budget is <= 5%; the bench only hard-
-// fails above 15% so scheduler noise on shared runners cannot flake CI.
+// Phase C (observability overhead): the capacity workload with the
+// harness's metrics, recorder and series wired through every plane
+// against every sink left a no-op, 5 alternating pairs of passes of
+// 4 clients x 20,000 queries timed in ns (bench/obs_overhead.hpp), and
+// reports the median p50 overhead of the wired passes.  The budget is
+// <= 5%; the bench only hard-fails above 15% so scheduler noise on
+// shared runners cannot flake CI.
 //
 // Phase D (batch amortization): fat-tree topologies at 128 and 1024
 // hosts, a clients x batch-size sweep where the same structurally
@@ -52,6 +54,7 @@
 
 #include "apps/harness.hpp"
 #include "bench/bench_common.hpp"
+#include "bench/obs_overhead.hpp"
 #include "collector/network_model.hpp"
 #include "netsim/generators.hpp"
 #include "netsim/topology.hpp"
@@ -78,15 +81,6 @@ struct PhaseResult {
     return total == 0 ? 0.0 : static_cast<double>(shed) / total;
   }
 };
-
-std::uint64_t percentile_us(std::vector<std::uint64_t>& v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const std::size_t idx = std::min(
-      v.size() - 1,
-      static_cast<std::size_t>(p * static_cast<double>(v.size())));
-  return v[idx];
-}
 
 /// Drives `clients` threads, each issuing `per_client` graph queries, and
 /// tallies client-side outcomes.  Latencies are recorded for admitted
@@ -145,8 +139,8 @@ PhaseResult run_phase(apps::CmuHarness& harness,
   r.errors = errors.load();
   const double total = static_cast<double>(clients) * per_client;
   r.qps = secs == 0 ? 0 : total / secs;
-  r.p50_us = percentile_us(admitted_us, 0.50);
-  r.p99_us = percentile_us(admitted_us, 0.99);
+  r.p50_us = bench::percentile(admitted_us, 0.50);
+  r.p99_us = bench::percentile(admitted_us, 0.99);
   return r;
 }
 
@@ -275,7 +269,7 @@ BatchCell run_batch_cell(service::QueryService& svc,
             ? 0
             : static_cast<double>(clients) * (per_client / batch) * batch /
                   secs;
-    cell.batch_p99_us = percentile_us(lat_us, 0.99);
+    cell.batch_p99_us = bench::percentile(lat_us, 0.99);
   }
 
   cell.errors = errors.load();
@@ -411,33 +405,10 @@ int main(int argc, char** argv) {
   }
 
   // --- Phase C: observability overhead on the hot path ----------------
-  // Same capacity workload, sinks disabled vs wired; interleaved within
-  // one process so both runs see the same machine state.
-  PhaseResult bare, wired;
-  for (const bool wire : {false, true}) {
-    apps::CmuHarness::Options ho;
-    ho.wire_obs = wire;
-    apps::CmuHarness harness(ho);
-    harness.start(6.0);
-    netsim::CbrTraffic background(harness.sim(), "m-5", "m-8", mbps(20),
-                                  4.0);
-    service::QueryService::Options so;
-    so.workers = 4;
-    so.queue_capacity = 64;
-    so.default_deadline = std::chrono::milliseconds(2000);
-    so.staleness_slo = 1e9;
-    so.poll_interval = std::chrono::milliseconds(5);
-    auto service = harness.serve(so);
-    (wire ? wired : bare) =
-        run_phase(harness, *service, /*clients=*/4, /*per_client=*/250);
-    service->stop();
-  }
-  const double obs_overhead =
-      bare.p50_us == 0
-          ? 0.0
-          : static_cast<double>(wired.p50_us) /
-                    static_cast<double>(bare.p50_us) -
-                1.0;
+  // Same capacity workload, sinks disabled vs wired; alternating pairs
+  // within one process so both sides see the same machine state.
+  const bench::ObsOverhead obs = bench::measure_obs_overhead();
+  const double obs_overhead = obs.median;
 
   // --- Phase D: batch amortization (fat-tree sweep) -------------------
   // One service per topology, one snapshot published once (no poller):
@@ -489,21 +460,24 @@ int main(int argc, char** argv) {
        std::to_string(over.shed),
        fixed(over.shed_rate() * 100, 1) + "%"},
       w);
-  row({"obs off", fixed(bare.qps, 0), std::to_string(bare.p50_us),
-       std::to_string(bare.p99_us), std::to_string(bare.admitted),
-       std::to_string(bare.shed), fixed(bare.shed_rate() * 100, 1) + "%"},
-      w);
-  row({"obs wired", fixed(wired.qps, 0), std::to_string(wired.p50_us),
-       std::to_string(wired.p99_us), std::to_string(wired.admitted),
-       std::to_string(wired.shed),
-       fixed(wired.shed_rate() * 100, 1) + "%"},
-      w);
+  const auto us = [](std::uint64_t ns) {
+    return fixed(static_cast<double>(ns) * 1e-3, 1);
+  };
+  for (const auto& [name, pass] :
+       {std::pair{"obs off", obs.bare}, std::pair{"obs wired", obs.wired}})
+    row({name, fixed(pass.qps, 0), us(pass.p50_ns), us(pass.p99_ns),
+         std::to_string(pass.answered), "-", "-"},
+        w);
   std::cout << "\n(queue depth " << cap_queue << " at capacity, "
             << over_queue << " under overload; overload quantiles are "
-               "admitted queries only)\n";
+               "admitted queries only; the obs rows are the median pair "
+               "of 4 x 20,000-query passes)\n";
   std::cout << "\nobservability p50 overhead: "
             << fixed(obs_overhead * 100, 1)
-            << "%  (budget <= 5%, hard fail above 15%)\n";
+            << "%  (median of the pairs";
+  for (const double o : obs.pair_overheads)
+    std::cout << " " << fixed(o * 100, 1) << "%";
+  std::cout << "; budget <= 5%, hard fail above 15%)\n";
 
   std::cout << "\nBatch amortization: shared-mode flow_info_batch vs lone "
                "flow_info\n(fat-tree, structurally disjoint host pairs, "
@@ -537,10 +511,12 @@ int main(int argc, char** argv) {
          << ", \"shed\": " << over.shed
          << ", \"shed_rate\": " << fixed(over.shed_rate(), 4)
          << ", \"errors\": " << over.errors << "},\n"
-         << "  \"obs_overhead\": {\"bare_p50_us\": " << bare.p50_us
-         << ", \"wired_p50_us\": " << wired.p50_us
+         << "  \"obs_overhead\": {\"bare_p50_us\": "
+         << fixed(static_cast<double>(obs.bare.p50_ns) * 1e-3, 3)
+         << ", \"wired_p50_us\": "
+         << fixed(static_cast<double>(obs.wired.p50_ns) * 1e-3, 3)
          << ", \"p50_overhead\": " << fixed(obs_overhead, 4)
-         << ", \"errors\": " << bare.errors + wired.errors << "},\n"
+         << ", \"errors\": " << obs.failed << "},\n"
          << "  \"batch_1024\": {\"seq_qps\": " << fixed(flagship.seq_qps, 1)
          << ", \"batch_qps\": " << fixed(flagship.batch_qps, 1)
          << ", \"speedup\": " << fixed(flagship.speedup(), 2)
@@ -556,8 +532,7 @@ int main(int argc, char** argv) {
   // the wired observability path must stay within the lenient overhead
   // ceiling (target <= 5%; 15% absorbs shared-runner noise).
   bool ok = cap.errors == 0 && over.errors == 0 && over.shed > 0 &&
-            cap.shed == 0 && bare.errors == 0 && wired.errors == 0 &&
-            obs_overhead <= 0.15;
+            cap.shed == 0 && obs.failed == 0 && obs_overhead <= 0.15;
   if (!ok) std::cerr << "BENCH_service: SLO invariants violated\n";
 
   // The batch plane's correctness is an invariant, not a --check gate: a
@@ -613,7 +588,7 @@ int main(int argc, char** argv) {
       gates = false;
     }
     // The p99 grace is deliberately wide (+5ms): a single descheduled
-    // worker puts milliseconds on one of only ~64 samples, and the gate
+    // query puts milliseconds on one of only ~64 samples, and the gate
     // is after order-of-magnitude regressions, not scheduler jitter.
     const double base_batch_p99 =
         baseline_number(baseline, "batch_1024", "p99_us", -1.0);

@@ -7,8 +7,8 @@
 //   - per-link utilization timelines, ground truth ("sim.link.*", sampled
 //     inside the simulator's integrator) against what the SNMP
 //     measurement path reconstructed ("collector.link.*");
-//   - the service's own series: per-status latency, shed admissions,
-//     snapshot staleness;
+//   - the service's own series, one point per model-clock step: mean
+//     latency, shed fraction, snapshot staleness;
 //   - a long-horizon Timeframe::history read answered from rollup
 //     buckets, with covered-span / truncation reporting;
 //   - machine-readable blocks CI parses: the series CSV dump, the
@@ -178,12 +178,11 @@ int main() {
 
   // Service-plane series.
   std::cout << "service plane:\n";
-  if (const obs::TimeSeries* lat =
-          store.find("service.latency_ms.answered")) {
+  if (const obs::TimeSeries* lat = store.find("service.latency_ms")) {
     const std::vector<double> v =
         obs::resample_mean(lat->raw(end, end), 0, end, kCols);
     const obs::WindowStats w = lat->window(end, end);
-    std::cout << "  latency ms (answered) |"
+    std::cout << "  latency ms |"
               << obs::sparkline(v, 0.0, std::max(1.0, finite_max(v)))
               << "| median " << fixed(w.measurement.quartiles.median, 2)
               << " ms over " << w.raw_samples << " raw + "
@@ -192,7 +191,7 @@ int main() {
   if (const obs::TimeSeries* shed = store.find("service.shed")) {
     const obs::WindowStats w = shed->window(end, end);
     std::cout << "  shed fraction " << fixed(w.measurement.mean, 3)
-              << " of " << shed->total_samples() << " submits\n";
+              << " over " << shed->total_samples() << " steps\n";
   }
   if (const obs::TimeSeries* stale = store.find("service.staleness")) {
     const obs::WindowStats w = stale->window(end, end);
@@ -239,7 +238,7 @@ int main() {
             << harness.recorder().dump_jsonl() << "--- end events jsonl ---\n";
 
   // Self-check: the run must have populated every plane's series.
-  const char* required[] = {"service.latency_ms.answered", "service.shed",
+  const char* required[] = {"service.latency_ms", "service.shed",
                             "service.staleness"};
   for (const char* name : required) {
     const obs::TimeSeries* ts = store.find(name);

@@ -137,7 +137,7 @@ struct ModelLink {
 /// route the simulator takes on the same network.  Immutable with respect
 /// to the model state it was built from: NetworkModel::routing_index()
 /// rebuilds it after any structural write.  Rows are memoized per source
-/// and safe to request from concurrent query workers sharing one index.
+/// and safe to request from concurrent queries sharing one index.
 ///
 /// Two by-id tables, built with the index, let a query work on ids
 /// alone: each model link's `a`-end id, and each id's ModelNode.  They

@@ -59,7 +59,6 @@ GraphResult Modeler::get_graph_result(const std::vector<std::string>& nodes,
                                       const Timeframe& timeframe,
                                       const LogicalOptions& options) const {
   GraphResult out;
-  if (obs_) obs_->graph_queries.inc();
   try {
     timeframe.validate();
   } catch (const std::exception& e) {
@@ -67,6 +66,8 @@ GraphResult Modeler::get_graph_result(const std::vector<std::string>& nodes,
     out.error = e.what();
     return out;
   }
+  // Counted once valid, as flow_info counts its queries.
+  if (obs_) obs_->graph_queries.inc();
   const collector::NetworkModel& m = model_;
 
   // Partition the queried names so one typo degrades the answer instead

@@ -87,30 +87,54 @@ const char* kind_name(int kind) {
 
 }  // namespace
 
+Histogram::Cells::Cells(std::vector<double> b)
+    : bounds(std::move(b)),
+      lines_per_shard((bounds.size() + 1 + kLineWords - 1) / kLineWords),
+      lines(new Line[kShards * lines_per_shard]()) {}
+
+std::size_t Histogram::Cells::this_thread_shard() {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t shard =
+      next.fetch_add(1, std::memory_order_relaxed) % kShards;
+  return shard;
+}
+
+std::uint64_t Histogram::Cells::total(std::size_t bucket) const {
+  std::uint64_t n = 0;
+  for (std::size_t s = 0; s < kShards; ++s)
+    n += count(s, bucket).load(std::memory_order_relaxed);
+  return n;
+}
+
+double Histogram::Cells::total_sum() const {
+  double sum = 0.0;
+  for (const Sum& s : sums) sum += s.value.load(std::memory_order_relaxed);
+  return sum;
+}
+
 void Histogram::observe(double v) const {
   if (!cells_) return;
   const auto it =
       std::lower_bound(cells_->bounds.begin(), cells_->bounds.end(), v);
   const auto idx =
       static_cast<std::size_t>(it - cells_->bounds.begin());
-  cells_->counts[idx].fetch_add(1, std::memory_order_relaxed);
-  double cur = cells_->sum.load(std::memory_order_relaxed);
-  while (!cells_->sum.compare_exchange_weak(cur, cur + v,
-                                            std::memory_order_relaxed)) {
+  const std::size_t shard = Cells::this_thread_shard();
+  cells_->count(shard, idx).fetch_add(1, std::memory_order_relaxed);
+  std::atomic<double>& sum = cells_->sums[shard].value;
+  double cur = sum.load(std::memory_order_relaxed);
+  while (!sum.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
   }
 }
 
 std::uint64_t Histogram::count() const {
   if (!cells_) return 0;
   std::uint64_t n = 0;
-  for (const auto& c : cells_->counts)
-    n += c.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i <= cells_->bounds.size(); ++i)
+    n += cells_->total(i);
   return n;
 }
 
-double Histogram::sum() const {
-  return cells_ ? cells_->sum.load(std::memory_order_relaxed) : 0.0;
-}
+double Histogram::sum() const { return cells_ ? cells_->total_sum() : 0.0; }
 
 double Histogram::quantile(double q) const {
   if (!cells_) return 0.0;
@@ -118,8 +142,8 @@ double Histogram::quantile(double q) const {
   if (n == 0) return 0.0;
   const double target = q * static_cast<double>(n);
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < cells_->counts.size(); ++i) {
-    seen += cells_->counts[i].load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i <= cells_->bounds.size(); ++i) {
+    seen += cells_->total(i);
     if (static_cast<double>(seen) >= target)
       return i < cells_->bounds.size() ? cells_->bounds[i]
                                        : cells_->bounds.back();
@@ -234,17 +258,17 @@ std::string MetricsRegistry::render() const {
         const Histogram::Cells& c = *s.histogram;
         std::uint64_t cum = 0;
         for (std::size_t i = 0; i < c.bounds.size(); ++i) {
-          cum += c.counts[i].load(std::memory_order_relaxed);
+          cum += c.total(i);
           out << name << "_bucket"
               << label_text_with(s.labels, "le", format_value(c.bounds[i]))
               << " " << cum << "\n";
         }
-        cum += c.counts.back().load(std::memory_order_relaxed);
+        cum += c.total(c.bounds.size());
         out << name << "_bucket"
             << label_text_with(s.labels, "le", "+Inf") << " " << cum
             << "\n";
         out << name << "_sum" << label_text(s.labels) << " "
-            << format_value(c.sum.load(std::memory_order_relaxed)) << "\n";
+            << format_value(c.total_sum()) << "\n";
         out << name << "_count" << label_text(s.labels) << " " << cum
             << "\n";
       }

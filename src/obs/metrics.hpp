@@ -8,7 +8,9 @@
 // as the registry; recording through a handle is a relaxed atomic
 // operation with no lock and no allocation, so components resolve their
 // handles at wiring time and increment on the hot path for ~one
-// fetch_add.  A default-constructed handle is a no-op sink, so
+// fetch_add.  Histograms spread their cells over per-thread shards, so
+// concurrent observers write disjoint cache lines; reads sum the shards.
+// A default-constructed handle is a no-op sink, so
 // instrumented code runs unchanged when observability is not wired.
 // Components whose Stats report counts keep counting when unwired: they
 // resolve those counters against a registry they own, and wiring
@@ -69,8 +71,11 @@ class Gauge {
  public:
   Gauge() = default;
 
+  /// Stores only a changed value, so callers that set the same value
+  /// over and over do not keep taking the cache line from readers.
   void set(double v) const {
-    if (cell_) cell_->store(v, std::memory_order_relaxed);
+    if (cell_ && cell_->load(std::memory_order_relaxed) != v)
+      cell_->store(v, std::memory_order_relaxed);
   }
   void add(double d) const {
     if (!cell_) return;
@@ -94,6 +99,12 @@ class Gauge {
 /// v <= bounds[i] (Prometheus `le` semantics); one overflow bucket
 /// (+Inf) is implicit.  Quantiles report the matched bucket's upper
 /// bound, so they are conservative.
+///
+/// Each thread observes into one of kShards shards (picked once per
+/// thread), whose counts and sum sit on cache lines of their own, so
+/// observers on different threads do not contend.  count(), sum(),
+/// quantile() and the registry's render() add the shards up; counts are
+/// exact, and so is the sum whenever the observed values add exactly.
 class Histogram {
  public:
   Histogram() = default;
@@ -109,11 +120,32 @@ class Histogram {
  private:
   friend class MetricsRegistry;
   struct Cells {
+    static constexpr std::size_t kShards = 8;
+    static constexpr std::size_t kLineWords = 8;
+    struct alignas(64) Line {
+      std::atomic<std::uint64_t> words[kLineWords];
+    };
+    struct alignas(64) Sum {
+      std::atomic<double> value{0.0};
+    };
+
     std::vector<double> bounds;  // ascending, finite upper bounds
-    std::vector<std::atomic<std::uint64_t>> counts;  // bounds.size() + 1
-    std::atomic<double> sum{0.0};
-    explicit Cells(std::vector<double> b)
-        : bounds(std::move(b)), counts(bounds.size() + 1) {}
+    std::size_t lines_per_shard;  // room for bounds.size() + 1 counts
+    std::unique_ptr<Line[]> lines;  // kShards * lines_per_shard, zeroed
+    Sum sums[kShards];
+
+    explicit Cells(std::vector<double> b);
+    /// The shard the calling thread observes into: threads take shards
+    /// round-robin in the order they first observe.
+    static std::size_t this_thread_shard();
+    std::atomic<std::uint64_t>& count(std::size_t shard,
+                                      std::size_t bucket) const {
+      return lines[shard * lines_per_shard + bucket / kLineWords]
+          .words[bucket % kLineWords];
+    }
+    /// Bucket `bucket`'s count summed over the shards.
+    std::uint64_t total(std::size_t bucket) const;
+    double total_sum() const;
   };
   explicit Histogram(Cells* cells) : cells_(cells) {}
   Cells* cells_ = nullptr;

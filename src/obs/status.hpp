@@ -19,7 +19,7 @@ enum class QueryStatus {
   kStale,       // served, but the freshest snapshot exceeded the budget
   kDegraded,    // brownout: last good cached answer, accuracy discounted
   kOverloaded,  // shed at admission: the bounded queue was full
-  kExpired,     // the deadline passed before a worker could answer
+  kExpired,     // the deadline passed while waiting for an execution slot
   kError,       // malformed query (structured; the service stays up)
 };
 

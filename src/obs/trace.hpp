@@ -1,7 +1,7 @@
 // Per-query tracing: scoped timers that build a span tree.
 //
 // A TraceBuilder is created when a traced query starts executing and is
-// carried along the execution path (service worker -> modeler); each
+// carried along the execution path (service -> modeler); each
 // stage opens a Scoped span, nesting under whatever span is open on the
 // builder's stack.  The finished SpanTree -- a flat vector with parent
 // indices, offsets and durations relative to the trace epoch -- is
@@ -10,8 +10,8 @@
 // route resolution, max-min solve, ...).
 //
 // A TraceBuilder is deliberately not thread-safe: one query's spans are
-// produced by one thread at a time, and the promise/future handoff that
-// delivers the response publishes the finished tree to the caller.  Code
+// produced by the one thread that executes it -- the caller's own -- and
+// returned with its response.  Code
 // that may run untraced passes a nullptr builder; Scoped tolerates it.
 #pragma once
 

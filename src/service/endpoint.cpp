@@ -6,8 +6,8 @@ namespace remos::service {
 
 namespace {
 
-std::chrono::microseconds since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
+std::chrono::nanoseconds since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::steady_clock::now() - t0);
 }
 

@@ -40,8 +40,9 @@ namespace remos::service {
 ///   kStale       served, but the freshest snapshot exceeded the budget
 ///   kDegraded    brownout: the tenant's slice was full, so the last good
 ///                cached answer is served with accuracy discounted
-///   kOverloaded  shed at admission: the bounded queue was full
-///   kExpired     the deadline passed before a worker could answer
+///   kOverloaded  shed at admission: the admission budget was full
+///   kExpired     the deadline passed while the query waited for an
+///                execution slot
 ///   kError       malformed query (structured; the service stays up)
 using QueryStatus = obs::QueryStatus;
 
@@ -96,8 +97,9 @@ struct ResponseMeta {
   std::uint64_t snapshot_version = 0;
   /// Age of that snapshot on the model clock at answer time.
   Seconds snapshot_age = 0;
-  /// Wall-clock time from submission to response.
-  std::chrono::microseconds latency{0};
+  /// Wall-clock time from submission to response, in nanoseconds (a
+  /// fresh cache hit takes well under a microsecond).
+  std::chrono::nanoseconds latency{0};
   std::string error;
   /// Span tree for this query; non-empty only when the query asked for
   /// tracing and was answered: the executed path's spans, or one span
@@ -159,8 +161,8 @@ class FlowInfoEndpoint {
 };
 
 /// Synchronous in-process endpoint over a bare core::Modeler -- no
-/// workers, no admission, no deadlines (the calling thread does the
-/// solve).  Lets single-threaded tools, examples and tests program
+/// admission, no execution slots, no deadlines (the calling thread does
+/// the solve).  Lets single-threaded tools, examples and tests program
 /// against FlowInfoEndpoint without standing up a QueryService, and be
 /// re-pointed at one later without a code change.
 ///

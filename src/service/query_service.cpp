@@ -20,6 +20,11 @@ std::uint64_t elapsed_us(Clock::time_point from, Clock::time_point to) {
   return us > 0 ? static_cast<std::uint64_t>(us) : 0;
 }
 
+std::chrono::nanoseconds elapsed(Clock::time_point from,
+                                 Clock::time_point to) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(to - from);
+}
+
 double to_seconds(Clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
@@ -33,6 +38,26 @@ obs::SpanTree one_span(const char* name, Clock::time_point since) {
 }
 
 }  // namespace
+
+/// Releases an admitted caller's hold on the service as it returns: its
+/// admission slot, then its place at the execution-slot gate (the last
+/// touch of the service, so stop() can wait for it).
+class QueryService::Exit {
+ public:
+  Exit(QueryService& service, int tenant, bool holds_slot)
+      : service_(service), tenant_(tenant), holds_slot_(holds_slot) {}
+  ~Exit() {
+    service_.admission_.release(tenant_);
+    service_.leave(holds_slot_);
+  }
+  Exit(const Exit&) = delete;
+  Exit& operator=(const Exit&) = delete;
+
+ private:
+  QueryService& service_;
+  int tenant_;
+  bool holds_slot_;
+};
 
 QueryService::QueryService(Options options)
     : options_(options),
@@ -86,7 +111,8 @@ void QueryService::set_obs(const obs::Obs& o, const obs::Labels& labels) {
     resolve_counters(*o.metrics, labels);
     admission_.set_metrics(*o.metrics, labels);
     queue_depth_gauge_ = o.metrics->gauge(
-        "remos_service_queue_depth", labels, "Jobs enqueued awaiting a worker");
+        "remos_service_queue_depth", labels,
+        "Admitted queries waiting for an execution slot");
     snapshot_version_gauge_ =
         o.metrics->gauge("remos_service_snapshot_version", labels,
                          "Version of the current published snapshot");
@@ -102,12 +128,16 @@ void QueryService::set_obs(const obs::Obs& o, const obs::Labels& labels) {
     modeler_obs_ = core::ModelerObs::resolve(o);
   }
   if (o.series) {
-    for (int s = 0; s < obs::kQueryStatusCount; ++s)
-      latency_series_[static_cast<std::size_t>(s)] = &o.series->series(
-          std::string("service.latency_ms.") +
-          obs::to_string(static_cast<QueryStatus>(s)));
+    std::lock_guard<std::mutex> lk(clock_mutex_);
+    latency_series_ = &o.series->series("service.latency_ms");
     shed_series_ = &o.series->series("service.shed");
     staleness_series_ = &o.series->series("service.staleness");
+    // The first step's deltas count from here, in the counters just
+    // resolved.
+    step_executed_ = latency_.count();
+    step_latency_sum_ = latency_.sum();
+    step_admitted_ = admission_.admitted();
+    step_shed_ = admission_.shed();
   }
   recorder_ = o.recorder;
 }
@@ -120,10 +150,9 @@ void QueryService::start(std::function<void()> poll_step) {
     if (started_) throw Error("QueryService: already started");
     started_ = true;
     stopping_ = false;
+    free_slots_ = options_.workers;
+    grant_waiters();
   }
-  workers_.reserve(options_.workers);
-  for (std::size_t i = 0; i < options_.workers; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
   if (poll_step)
     poller_ = std::thread(
         [this, step = std::move(poll_step)] { poller_loop(step); });
@@ -135,26 +164,62 @@ void QueryService::stop() {
     if (!started_) return;
     stopping_ = true;
   }
-  queue_cv_.notify_all();
   stop_cv_.notify_all();
   if (poller_.joinable()) poller_.join();
-  for (std::thread& w : workers_)
-    if (w.joinable()) w.join();
-  workers_.clear();
-  // Jobs still queued complete inline; their clients (if any are still
-  // waiting) get real answers, and abandoned ones are skipped.
-  std::deque<std::function<void()>> rest;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    rest.swap(queue_);
-    started_ = false;
+  // Queries already waiting still take slots as executing ones leave.
+  std::unique_lock<std::mutex> lk(mutex_);
+  stop_cv_.wait(lk, [this] { return callers_ == 0; });
+  started_ = false;
+  free_slots_ = 0;
+}
+
+QueryService::Gate QueryService::enter(Clock::time_point deadline) {
+  std::unique_lock<std::mutex> lk(mutex_);
+  if (stopping_) return Gate::kStopped;
+  ++callers_;
+  if (free_slots_ > 0 && waiters_.empty()) {
+    --free_slots_;
+    return Gate::kGranted;
   }
-  for (auto& job : rest) job();
+  Waiter me;
+  waiters_.push_back(&me);
+  queue_depth_gauge_.set(static_cast<double>(waiters_.size()));
+  if (me.cv.wait_until(lk, deadline, [&me] { return me.granted; }))
+    return Gate::kGranted;
+  waiters_.erase(std::find(waiters_.begin(), waiters_.end(), &me));
+  queue_depth_gauge_.set(static_cast<double>(waiters_.size()));
+  return Gate::kExpired;
+}
+
+void QueryService::leave(bool holds_slot) {
+  std::lock_guard<std::mutex> lk(mutex_);
+  if (holds_slot) {
+    ++free_slots_;
+    grant_waiters();
+  }
+  if (--callers_ == 0 && stopping_) stop_cv_.notify_all();
+}
+
+void QueryService::grant_waiters() {
+  while (free_slots_ > 0 && !waiters_.empty()) {
+    Waiter* oldest = waiters_.front();
+    waiters_.pop_front();
+    --free_slots_;
+    oldest->granted = true;
+    oldest->cv.notify_one();
+  }
+  queue_depth_gauge_.set(static_cast<double>(waiters_.size()));
 }
 
 void QueryService::publish(collector::NetworkModel model, Seconds model_now) {
-  store_.publish(std::move(model), model_now);
-  note_model_now(model_now);
+  {
+    // The ending step's points describe the snapshot its queries read,
+    // so they are taken before the new one lands.
+    std::lock_guard<std::mutex> lk(clock_mutex_);
+    const bool advances = end_step(model_now);
+    store_.publish(std::move(model), model_now);
+    if (advances) model_now_.store(model_now, std::memory_order_release);
+  }
   snapshot_version_gauge_.set(static_cast<double>(store_.version()));
   if (recorder_)
     recorder_->record(obs::EventSeverity::kInfo, "service",
@@ -164,17 +229,48 @@ void QueryService::publish(collector::NetworkModel model, Seconds model_now) {
 }
 
 void QueryService::note_model_now(Seconds model_now) {
-  double cur = model_now_.load(std::memory_order_relaxed);
-  while (model_now > cur &&
-         !model_now_.compare_exchange_weak(cur, model_now,
-                                           std::memory_order_acq_rel)) {
+  std::lock_guard<std::mutex> lk(clock_mutex_);
+  if (end_step(model_now))
+    model_now_.store(model_now, std::memory_order_release);
+}
+
+bool QueryService::end_step(Seconds model_now) {
+  const Seconds seen = model_now_.load(std::memory_order_relaxed);
+  if (!(model_now > seen)) return false;
+  if (!latency_series_) return true;  // no series wired
+  // Deltas since the previous step, all stamped with the model time the
+  // step's queries saw.  Latency and staleness come from the latency
+  // histogram, so they need the metrics registry wired as well.
+  const std::uint64_t executed = latency_.count();
+  const double latency_sum = latency_.sum();
+  const std::uint64_t admitted = admission_.admitted();
+  const std::uint64_t shed = admission_.shed();
+  if (executed > step_executed_) {
+    latency_series_->append(
+        seen, (latency_sum - step_latency_sum_) /
+                  static_cast<double>(executed - step_executed_) * 1e3);
+    if (const SnapshotStore::Ptr snap = store_.current())
+      staleness_series_->append(seen, std::max(0.0, seen - snap->taken_at));
   }
+  const std::uint64_t offered =
+      (admitted - step_admitted_) + (shed - step_shed_);
+  if (offered > 0)
+    shed_series_->append(seen, static_cast<double>(shed - step_shed_) /
+                                   static_cast<double>(offered));
+  step_executed_ = executed;
+  step_latency_sum_ = latency_sum;
+  step_admitted_ = admitted;
+  step_shed_ = shed;
+  return true;
 }
 
 void QueryService::note_shed(bool shed) {
   // Edge-triggered: the recorder logs shed *episodes*, not every shed
-  // query -- an overload burst is one event in, one event out.
-  if (shedding_.exchange(shed, std::memory_order_relaxed) == shed) return;
+  // query -- an overload burst is one event in, one event out.  The load
+  // keeps the steady state from writing the shared flag.
+  if (shedding_.load(std::memory_order_relaxed) == shed ||
+      shedding_.exchange(shed, std::memory_order_relaxed) == shed)
+    return;
   if (recorder_)
     recorder_->record(shed ? obs::EventSeverity::kWarn
                            : obs::EventSeverity::kInfo,
@@ -182,34 +278,6 @@ void QueryService::note_shed(bool shed) {
                       shed ? "shed_episode_begin" : "shed_episode_end",
                       shed ? "admission queue full; shedding"
                            : "admission recovered");
-}
-
-template <typename Response, typename Fn>
-void QueryService::run_job(const std::shared_ptr<Pending<Response>>& state,
-                           Fn&& execute) {
-  queue_depth_gauge_.add(-1.0);
-  if (state->abandoned.load(std::memory_order_acquire)) {
-    // The caller already returned kExpired; skip the work entirely.
-    admission_.release(state->tenant);
-    return;
-  }
-  Response r;
-  if (Clock::now() >= state->deadline) {
-    r.meta.status = QueryStatus::kExpired;
-  } else {
-    r = execute();
-  }
-  const auto done = Clock::now();
-  const std::uint64_t us = elapsed_us(state->arrived, done);
-  r.meta.latency = std::chrono::microseconds(us);
-  latency_.observe(static_cast<double>(us) * 1e-6);
-  if (obs::TimeSeries* ts =
-          latency_series_[static_cast<std::size_t>(r.meta.status)])
-    ts->append(model_now(), static_cast<double>(us) * 1e-3);
-  deadline_slack_.observe(
-      std::max(0.0, to_seconds(state->deadline - done)));
-  admission_.release(state->tenant);
-  state->promise.set_value(std::move(r));
 }
 
 template <typename Response, typename Query, typename Solve>
@@ -222,7 +290,7 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
   // served from the cache carries one span.
   const auto arrived = Clock::now();
   const auto since_arrival = [arrived] {
-    return std::chrono::microseconds(elapsed_us(arrived, Clock::now()));
+    return elapsed(arrived, Clock::now());
   };
   std::string key = cache->enabled() ? canonical_key(query) : std::string{};
   if (!key.empty()) {
@@ -240,7 +308,6 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
   const int tenant = query.tenant;
   Response r;
   if (!admission_.try_acquire(tenant)) {
-    if (shed_series_) shed_series_->append(model_now(), 1.0);
     note_shed(true);
     // Brownout rung: a cached answer with discounted accuracy beats a
     // shed -- but it is always labelled kDegraded, never fresh.
@@ -254,45 +321,34 @@ Response QueryService::submit(ResultCache<Response>* cache, Query query,
     count_outcome(r.meta.status);
     return r;
   }
-  if (shed_series_) shed_series_->append(model_now(), 0.0);
   note_shed(false);
 
-  auto state = std::make_shared<Pending<Response>>();
-  state->arrived = arrived;
-  state->deadline = deadline;
-  state->tenant = tenant;
-  std::future<Response> fut = state->promise.get_future();
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (stopping_) {
-      admission_.release(tenant);
-      r.meta.status = QueryStatus::kError;
-      r.meta.error = "service stopped";
-      count_outcome(r.meta.status);
-      return r;
-    }
-    queue_.emplace_back([this, state, cache, key = std::move(key), slo,
-                         q = std::move(query), solve = std::move(solve)] {
-      run_job(state, [&] {
-        Seconds taken_at = 0;
-        Response out =
-            answer<Response>(q, slo, state->arrived, solve, taken_at);
-        cache_store(cache, key, out, taken_at);
-        return out;
-      });
-    });
-    queue_depth_gauge_.add(1.0);
-  }
-  queue_cv_.notify_one();
-
-  if (fut.wait_until(deadline) == std::future_status::ready) {
-    r = fut.get();
+  const Gate gate = enter(deadline);
+  if (gate == Gate::kStopped) {
+    admission_.release(tenant);
+    r.meta.status = QueryStatus::kError;
+    r.meta.error = "service stopped";
     count_outcome(r.meta.status);
     return r;
   }
-  state->abandoned.store(true, std::memory_order_release);
-  r.meta.status = QueryStatus::kExpired;
-  r.meta.latency = since_arrival();
+  const Exit exit(*this, tenant, gate == Gate::kGranted);
+  if (gate == Gate::kExpired) {
+    r.meta.status = QueryStatus::kExpired;
+    r.meta.latency = since_arrival();
+    count_outcome(r.meta.status);
+    return r;
+  }
+  if (Clock::now() < deadline) {
+    Seconds taken_at = 0;
+    r = answer<Response>(query, slo, arrived, solve, taken_at);
+    cache_store(cache, key, r, taken_at);
+  } else {
+    r.meta.status = QueryStatus::kExpired;
+  }
+  const auto done = Clock::now();
+  r.meta.latency = elapsed(arrived, done);
+  latency_.observe(to_seconds(done - arrived));
+  deadline_slack_.observe(std::max(0.0, to_seconds(deadline - done)));
   count_outcome(r.meta.status);
   return r;
 }
@@ -302,8 +358,8 @@ Response QueryService::answer(const Query& query, Seconds staleness_budget,
                               std::chrono::steady_clock::time_point arrived,
                               const Solve& solve, Seconds& taken_at) {
   Response r;
-  // Epoch = submission, so the "admission" span (queue wait) lines up
-  // with the worker-side spans in one tree.
+  // Epoch = submission, so the "admission" span (admission and the wait
+  // for an execution slot) lines up with the execution spans in one tree.
   obs::TraceBuilder tb(arrived);
   obs::TraceBuilder* tbp = query.trace ? &tb : nullptr;
   if (tbp) tb.add_complete("admission", 0, elapsed_us(arrived, Clock::now()));
@@ -325,7 +381,6 @@ Response QueryService::answer(const Query& query, Seconds staleness_budget,
   r.meta.snapshot_version = snap->version;
   r.meta.snapshot_age = age;
   snapshot_age_gauge_.set(age);
-  if (staleness_series_) staleness_series_->append(now, age);
   // A fresh Modeler over the immutable snapshot: const queries, no
   // shared mutable state, nothing to lock.  The clock is pinned to the
   // model time observed at answer time, so accuracy keeps decaying
@@ -429,8 +484,9 @@ FlowInfoResponse QueryService::flow_info(FlowInfoQuery query) {
 
 FlowBatchResponse QueryService::flow_info_batch(FlowBatchInfoQuery query) {
   batch_counter_.inc();
-  // The whole batch is ONE admission unit: one tenant slot, one queue
-  // entry, one snapshot -- that is the amortization the batch API sells.
+  // The whole batch is ONE admission unit: one tenant slot, one
+  // execution slot, one snapshot -- that is the amortization the batch
+  // API sells.
   return submit(batch_cache_.get(), std::move(query),
                 [](const core::Modeler& m, const FlowBatchInfoQuery& q,
                    FlowBatchResponse& out) {
@@ -460,20 +516,6 @@ ServiceStats QueryService::stats() const {
   s.p50_us = static_cast<std::uint64_t>(latency_.quantile(0.50) * 1e6);
   s.p99_us = static_cast<std::uint64_t>(latency_.quantile(0.99) * 1e6);
   return s;
-}
-
-void QueryService::worker_loop() {
-  while (true) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lk(mutex_);
-      queue_cv_.wait(lk, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping and drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    job();
-  }
 }
 
 void QueryService::poller_loop(std::function<void()> poll_step) {

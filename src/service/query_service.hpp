@@ -10,24 +10,31 @@
 //   poller thread ──> publishes immutable versioned ModelSnapshots
 //                     (SnapshotStore: pointer swap under a tiny spinlock)
 //   client threads ─> admission control (bounded in-flight count)
-//                     ──> work queue ──> worker pool answers against the
-//                     snapshot current at execution time
+//                     ──> execution slot (at most `workers` at once,
+//                     waiters served in arrival order) ──> the caller's
+//                     own thread answers against the snapshot current
+//                     at execution time
 //
 // Serving guarantees:
-//   - No contended locking on the answer hot path: a worker picks up the
+//   - No contended locking on the answer hot path: a query picks up the
 //     current snapshot (a refcount bump under the store's spinlock) and
 //     runs const Modeler queries against that immutable copy.
-//   - Every query carries a wall-clock deadline.  The caller always gets
-//     a structured response by its deadline -- kAnswered, kStale,
-//     kOverloaded, kExpired or kError; never a hang, and never an
-//     exception across the API boundary.
+//   - Every query carries a wall-clock deadline, which bounds its wait
+//     for an execution slot: a query still waiting at its deadline
+//     returns kExpired.  A query that holds a slot runs to
+//     completion, so its answer can land after the deadline; that work is
+//     bounded CPU work over an immutable snapshot, with no I/O.  The
+//     caller always gets a structured response -- kAnswered, kStale,
+//     kDegraded, kOverloaded, kExpired or kError; never a hang, and never
+//     an exception across the API boundary.
 //   - Staleness SLO: if the freshest snapshot is older (on the model
 //     clock) than the query's staleness budget, the answer is served
 //     anyway -- with PR 1's decayed accuracy, since the snapshot clock
 //     keeps advancing -- and flagged kStale instead of kAnswered.
-//   - Overload shedding: when the bounded queue is full, excess queries
-//     are shed immediately with kOverloaded, so admitted-query latency
-//     stays bounded by queue depth x per-query cost at any offered load.
+//   - Overload shedding: when the admission budget is full, excess
+//     queries are shed immediately with kOverloaded, so admitted-query
+//     latency stays bounded by the budget x per-query cost at any
+//     offered load.
 #pragma once
 
 #include <array>
@@ -37,13 +44,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/flows.hpp"
 #include "core/graph.hpp"
@@ -81,7 +86,7 @@ struct ServiceStats {
   std::uint64_t polls = 0;
   std::uint64_t snapshot_version = 0;
   /// Fresh result-cache hits (exact current-version match; answered
-  /// without consuming an admission slot or a worker).
+  /// without consuming an admission slot or an execution slot).
   std::uint64_t cache_hits = 0;
   /// Explicit flow_info_batch calls answered (each counted once however
   /// many sub-queries it carried).
@@ -98,9 +103,9 @@ struct ServiceStats {
 class QueryService : public FlowInfoEndpoint {
  public:
   struct Options {
-    /// Worker threads answering queries.
+    /// Queries executing at once, each on its caller's thread.
     std::size_t workers = 4;
-    /// Admission bound: queries in flight (queued + executing) beyond
+    /// Admission bound: queries in flight (waiting + executing) beyond
     /// this are shed with kOverloaded (the TenantAdmission budget).
     std::size_t queue_capacity = 64;
     /// Fraction of the budget reserved as weighted per-tenant slices;
@@ -126,23 +131,31 @@ class QueryService : public FlowInfoEndpoint {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Wires metrics and flight-recorder events: per-status query
-  /// counters, queue depth, latency and deadline-slack histograms,
-  /// snapshot gauges, and shed-episode / publish events.  Every series
-  /// carries `labels` (a replica passes {replica}); services sharing one
-  /// registry need distinct labels, or they share series and each
-  /// stats() reports the sum.  Call before start(); handles are resolved
-  /// once and the hot path stays lock-free.  Without it the counters
-  /// count in a registry the service owns and every other sink is a
-  /// no-op.
+  /// Wires metrics, history series and flight-recorder events:
+  /// per-status query counters, queue depth, latency and deadline-slack
+  /// histograms, snapshot gauges, the service.* series (one point per
+  /// model-clock step, see note_model_now), and shed-episode / publish
+  /// events.  Every metric series carries `labels` (a replica passes
+  /// {replica}); services sharing one registry need distinct labels, or
+  /// they share series and each stats() reports the sum.  Call before
+  /// start(); handles are resolved once and the hot path stays
+  /// lock-free.  Without it the counters count in a registry the service
+  /// owns and every other sink is a no-op.
   void set_obs(const obs::Obs& o, const obs::Labels& labels = {});
 
-  /// Starts the worker pool.  With `poll_step`, also starts a background
+  /// Opens `workers` execution slots; callers already waiting take them
+  /// in arrival order.  Starts no query thread: admitted queries run on
+  /// their callers' threads.  With `poll_step`, also starts a background
   /// poller thread that invokes it every poll_interval until stop() --
   /// the step typically drives CollectorSet::poll_all / the simulator one
   /// period and publishes a fresh snapshot (see CmuHarness::serve).
+  /// Before start(), admitted queries wait for a slot until their
+  /// deadline.
   void start();
   void start(std::function<void()> poll_step);
+  /// Stops the poller, lets the queries already waiting run, and returns
+  /// once every admitted query has left the service.  Later queries get
+  /// kError "service stopped".
   void stop();
 
   /// Publishes an immutable snapshot; callable from the poll step (via
@@ -150,7 +163,14 @@ class QueryService : public FlowInfoEndpoint {
   void publish(collector::NetworkModel model, Seconds model_now);
 
   /// Advances the service's model clock without publishing (a poll round
-  /// that yielded nothing new still ages the snapshots).
+  /// that yielded nothing new still ages the snapshots).  Each advance
+  /// ends a model-clock step: when series are wired, it appends one
+  /// point per service.* series for the queries of the step, stamped
+  /// with the model time they saw --
+  ///   service.latency_ms  mean latency of the step's executed queries
+  ///   service.shed        shed / (admitted + shed) over the step
+  ///   service.staleness   model-clock age of the snapshot they read
+  /// A series with nothing to report for the step gets no point.
   void note_model_now(Seconds model_now);
   Seconds model_now() const {
     return model_now_.load(std::memory_order_acquire);
@@ -188,25 +208,31 @@ class QueryService : public FlowInfoEndpoint {
   ServiceStats stats() const;
 
  private:
-  template <typename Response>
-  struct Pending {
-    std::promise<Response> promise;
-    std::atomic<bool> abandoned{false};
-    std::chrono::steady_clock::time_point arrived;
-    std::chrono::steady_clock::time_point deadline;
-    int tenant = TenantAdmission::kDefaultTenant;
+  /// Outcome of a caller's wait at the execution-slot gate.
+  enum class Gate { kGranted, kExpired, kStopped };
+  /// A caller waiting for an execution slot; lives on its stack.
+  struct Waiter {
+    std::condition_variable cv;
+    bool granted = false;
   };
+  class Exit;
 
   /// The one serving path of every entry point: fresh cache hit ->
-  /// admission -> brownout or shed -> queue -> wait for the worker.
-  /// `solve(modeler, query, response)` fills the payload on a worker
-  /// against the current snapshot; the executed answer is then cached
-  /// under the query's fingerprint in `cache`.
+  /// admission -> brownout or shed -> execution slot -> answer on the
+  /// caller's thread.  `solve(modeler, query, response)` fills the
+  /// payload against the current snapshot; the executed answer is then
+  /// cached under the query's fingerprint in `cache`.
   template <typename Response, typename Query, typename Solve>
   Response submit(ResultCache<Response>* cache, Query query, Solve solve);
-  template <typename Response, typename Fn>
-  void run_job(const std::shared_ptr<Pending<Response>>& state,
-               Fn&& execute);
+  /// Takes an execution slot, waiting in arrival order until `deadline`
+  /// when none is free.  kStopped: the service is stopping and the caller
+  /// did not enter; otherwise it must leave() exactly once.
+  Gate enter(std::chrono::steady_clock::time_point deadline);
+  /// The caller's last touch of the service: hands its slot (if it holds
+  /// one) to the oldest waiter or back to the free count.
+  void leave(bool holds_slot);
+  /// Hands free slots to the oldest waiters.  Caller holds mutex_.
+  void grant_waiters();
   template <typename Response, typename Query, typename Solve>
   /// Executes `query` against the current snapshot; sets `taken_at` to
   /// that snapshot's model clock (the cache entry's brownout anchor).
@@ -216,7 +242,7 @@ class QueryService : public FlowInfoEndpoint {
                   const Solve& solve, Seconds& taken_at);
   /// Fresh-hit fast path: serves `key` from `cache` iff the cached
   /// version matches the store's current version.  O(1): no admission
-  /// slot, no worker, no Modeler.
+  /// slot, no execution slot, no Modeler.
   template <typename Response>
   std::optional<Response> cache_fresh_hit(ResultCache<Response>* cache,
                                           const std::string& key,
@@ -241,8 +267,11 @@ class QueryService : public FlowInfoEndpoint {
     status_counters_[static_cast<std::size_t>(status)].inc();
   }
   void note_shed(bool shed);
+  /// Ends the model-clock step when `model_now` advances the clock:
+  /// appends the step's series points and returns true (the caller then
+  /// stores the new time).  Caller holds clock_mutex_.
+  bool end_step(Seconds model_now);
 
-  void worker_loop();
   void poller_loop(std::function<void()> poll_step);
 
   Options options_;
@@ -251,15 +280,16 @@ class QueryService : public FlowInfoEndpoint {
   std::unique_ptr<ResultCache<GraphResponse>> graph_cache_;
   std::unique_ptr<ResultCache<FlowInfoResponse>> flow_cache_;
   std::unique_ptr<ResultCache<FlowBatchResponse>> batch_cache_;
-  std::atomic<double> model_now_{0.0};
+  std::atomic<double> model_now_{0.0};  // written under clock_mutex_
 
-  std::mutex mutex_;  // guards queue_, stopping_, started_
-  std::condition_variable queue_cv_;
-  std::condition_variable stop_cv_;  // wakes the poller's pacing sleep
-  std::deque<std::function<void()>> queue_;
+  // The execution-slot gate.  Slots exist only while started.
+  std::mutex mutex_;  // guards the members below, through started_
+  std::condition_variable stop_cv_;  // wakes the poller and stop()
+  std::size_t free_slots_ = 0;
+  std::deque<Waiter*> waiters_;  // oldest first
+  std::size_t callers_ = 0;  // entered and not yet left
   bool stopping_ = false;
   bool started_ = false;
-  std::vector<std::thread> workers_;
   std::thread poller_;
 
   // The counts stats() reports: resolved in own_metrics_ at
@@ -281,13 +311,18 @@ class QueryService : public FlowInfoEndpoint {
   obs::Histogram deadline_slack_; // seconds left when the answer landed
   std::atomic<bool> shedding_{false};  // edge detector for episode events
 
-  // History series (telemetry plane; null until set_obs with a store):
-  // per-status latency in ms, shed 0/1 per submit, snapshot staleness at
-  // answer time.  Stamped on the model clock so they line up with the
-  // simulator's and collector's link series.
-  std::array<obs::TimeSeries*, obs::kQueryStatusCount> latency_series_{};
+  // History series (telemetry plane; null until set_obs with a store),
+  // one point per model-clock step, stamped on the model clock so they
+  // line up with the simulator's and collector's link series.  The
+  // step's baselines and the clock's writers share clock_mutex_.
+  std::mutex clock_mutex_;
+  obs::TimeSeries* latency_series_ = nullptr;
   obs::TimeSeries* shed_series_ = nullptr;
   obs::TimeSeries* staleness_series_ = nullptr;
+  std::uint64_t step_executed_ = 0;
+  double step_latency_sum_ = 0;
+  std::uint64_t step_admitted_ = 0;
+  std::uint64_t step_shed_ = 0;
 };
 
 }  // namespace remos::service

@@ -170,8 +170,8 @@ class ReplicationBus {
 /// One replica: the replicated model, frame application with gap
 /// detection, and an embedded QueryService serving from the newest
 /// verified snapshot.  Frame application runs on the publisher thread;
-/// queries run on the replica service's worker threads; the health
-/// signals the coordinator reads cross threads as atomics.
+/// queries run on their callers' threads; the health signals the
+/// coordinator reads cross threads as atomics.
 class ReplicaStore {
  public:
   struct Options {

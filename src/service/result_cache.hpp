@@ -98,7 +98,7 @@ class ResultCache {
 
   /// Stores `response` as the answer for `key` at `version`.  A newer
   /// version replaces an older entry for the same fingerprint; an older
-  /// or equal one is dropped (a slow worker must not roll the cache
+  /// or equal one is dropped (a slow query must not roll the cache
   /// back).  `taken_at` is the answering snapshot's model clock, the
   /// anchor of a later brownout's age.
   void insert(const std::string& key, Response response,

@@ -5,7 +5,7 @@
 // state (a link whose history grew mid-read, a half-merged CollectorSet
 // view).  The SnapshotStore decouples the two planes: the poller thread
 // publishes a deep copy of the model as an immutable ModelSnapshot, and
-// query workers load the current snapshot pointer -- no copy, no torn
+// executing queries load the current snapshot pointer -- no copy, no torn
 // reads.  One lifetime rule: a snapshot lives exactly as long as someone
 // holds its Ptr.  The store holds two, current and previous
 // (double-buffered, so the common "one reader still on version n-1" case

@@ -52,7 +52,7 @@ class TenantAdmission {
   static constexpr std::size_t kMaxTenants = 64;
 
   struct Options {
-    /// Global budget: queries in flight (queued + executing) across all
+    /// Global budget: queries in flight (waiting + executing) across all
     /// tenants.
     std::size_t budget = 64;
     /// Fraction of the budget partitioned into weighted reserved slices;

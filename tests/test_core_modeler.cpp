@@ -6,6 +6,7 @@
 #include "apps/harness.hpp"
 #include "core/remos_api.hpp"
 #include "netsim/traffic.hpp"
+#include "obs/obs.hpp"
 #include "util/error.hpp"
 
 namespace remos::core {
@@ -386,6 +387,30 @@ TEST(TimeframeValidation, HandBuiltTimeframesAreValidatedAtUse) {
   q.timeframe.kind = Timeframe::Kind::kHistory;
   q.timeframe.window = 0;
   EXPECT_THROW(modeler.flow_info(q), InvalidArgument);
+}
+
+TEST(TimeframeValidation, RejectedGraphQueriesAreNotCounted) {
+  // remos_modeler_graph_queries_total counts the queries the Modeler
+  // accepted, as the flow counter does: a rejected timeframe adds nothing.
+  const collector::NetworkModel m = tiny_model();
+  obs::Observability o;
+  const ModelerObs handles = ModelerObs::resolve(o.view());
+  Modeler modeler(m);
+  modeler.set_obs(&handles);
+  const obs::Counter graphs =
+      o.metrics.counter("remos_modeler_graph_queries_total");
+
+  Timeframe inverted;
+  inverted.kind = Timeframe::Kind::kHistory;
+  inverted.window = -30.0;
+  const GraphResult rejected = modeler.get_graph_result({"a", "b"}, inverted);
+  EXPECT_EQ(rejected.status, obs::GraphStatus::kInvalid);
+  EXPECT_EQ(graphs.value(), 0u);
+
+  const GraphResult answered =
+      modeler.get_graph_result({"a", "b"}, Timeframe::current());
+  EXPECT_EQ(answered.status, obs::GraphStatus::kOk);
+  EXPECT_EQ(graphs.value(), 1u);
 }
 
 TEST(TimeframeValidation, SnapshotModelerMatchesLiveModeler) {

@@ -136,6 +136,36 @@ TEST(Metrics, ConcurrentRecordingFromEightThreadsLosesNothing) {
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
+TEST(Histogram, ConcurrentObservesMatchSerialOnes) {
+  // Dyadic values add exactly in any order, so the shards' totals must
+  // equal a serial registry's to the last bit: count, sum, every
+  // quantile and the exposition text.
+  const std::vector<double> bounds{0.125, 0.5, 2.0, 8.0};
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 5'000;
+  const auto value = [](int t, int i) {
+    return static_cast<double>((t * 7 + i) % 40) * 0.25;
+  };
+  MetricsRegistry concurrent, serial;
+  Histogram h = concurrent.histogram("remos_shard_seconds", bounds);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&h, &value, t] {
+      for (int i = 0; i < kPerThread; ++i) h.observe(value(t, i));
+    });
+  for (std::thread& t : threads) t.join();
+  Histogram ref = serial.histogram("remos_shard_seconds", bounds);
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kPerThread; ++i) ref.observe(value(t, i));
+
+  EXPECT_EQ(h.count(), ref.count());
+  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(h.sum(), ref.sum());
+  for (const double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0})
+    EXPECT_EQ(h.quantile(q), ref.quantile(q)) << "q " << q;
+  EXPECT_EQ(concurrent.render(), serial.render());
+}
+
 // --- Exposition format ---
 
 TEST(Metrics, RenderEmitsPrometheusExposition) {

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <thread>
 #include <vector>
@@ -273,8 +274,8 @@ TEST(QueryService, MalformedQueriesAreErrorsNotAborts) {
 }
 
 TEST(QueryService, DeadlineExpiryNeverHangs) {
-  // No workers are started, so nothing will ever answer: the caller must
-  // get kExpired at its deadline, not hang.
+  // The service is never started, so no execution slot ever opens: the
+  // caller must get kExpired at its deadline, not hang.
   QueryService svc;
   svc.publish(tiny_model(0.0), 0.0);
   const auto t0 = std::chrono::steady_clock::now();
@@ -290,7 +291,7 @@ TEST(QueryService, DeadlineExpiryNeverHangs) {
 TEST(QueryService, OverloadShedsImmediatelyWithStructuredResult) {
   QueryService::Options o;
   o.queue_capacity = 2;
-  QueryService svc(o);  // never started: admitted queries sit queued
+  QueryService svc(o);  // never started: admitted queries wait for a slot
   svc.publish(tiny_model(0.0), 0.0);
 
   auto submit = [&svc] {
@@ -300,7 +301,7 @@ TEST(QueryService, OverloadShedsImmediatelyWithStructuredResult) {
   };
   auto f1 = std::async(std::launch::async, submit);
   auto f2 = std::async(std::launch::async, submit);
-  // Wait until both occupy the bounded queue.
+  // Wait until both hold the admission budget.
   while (svc.admission().in_flight() < 2) std::this_thread::yield();
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -315,6 +316,142 @@ TEST(QueryService, OverloadShedsImmediatelyWithStructuredResult) {
   EXPECT_EQ(f2.get().meta.status, QueryStatus::kExpired);
   EXPECT_EQ(svc.stats().shed, 1u);
   EXPECT_EQ(svc.stats().expired, 2u);
+}
+
+TEST(QueryService, StartsNoThreadButItsPoller) {
+  // Admitted queries run on their callers' threads: start() opens
+  // execution slots and starts at most the poller.
+  const auto threads = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+      ++n;
+    return n;
+  };
+  // A sanitizer runtime may start a helper thread beside the process's
+  // first thread; let that happen before counting.
+  std::thread([] {}).join();
+  {
+    QueryService svc;
+    const std::size_t before = threads();
+    svc.start();
+    EXPECT_EQ(threads(), before);
+    svc.stop();
+  }
+  {
+    QueryService svc;
+    const std::size_t before = threads();
+    svc.start([] {});
+    EXPECT_EQ(threads(), before + 1);
+    svc.stop();
+  }
+}
+
+TEST(QueryService, ExpiredWaiterReleasesItsAdmissionSlot) {
+  // A query that times out waiting for an execution slot gives its
+  // admission slot back as it returns, and leaves the wait queue.
+  obs::Observability obs;
+  QueryService svc;  // never started: no execution slot ever frees
+  svc.set_obs(obs.view());
+  svc.publish(tiny_model(0.0), 0.0);
+  GraphQuery q = graph_query({"a", "b"});
+  q.deadline = 20ms;
+  EXPECT_EQ(svc.get_graph(std::move(q)).meta.status, QueryStatus::kExpired);
+  EXPECT_EQ(svc.admission().in_flight(), 0u);
+  EXPECT_DOUBLE_EQ(obs.metrics.gauge("remos_service_queue_depth").value(),
+                   0.0);
+}
+
+TEST(QueryService, WaitersRunInArrivalOrder) {
+  // One execution slot, three callers queued before it opens: they take
+  // it in the order they arrived.  Each answer's completion instant is
+  // its send time plus its reported latency (the latency is stamped
+  // before the slot passes on, so the instants order the executions).
+  obs::Observability obs;
+  QueryService::Options o;
+  o.workers = 1;
+  QueryService svc(o);
+  svc.set_obs(obs.view());
+  svc.publish(tiny_model(0.0), 0.0);
+  const obs::Gauge depth = obs.metrics.gauge("remos_service_queue_depth");
+
+  constexpr int kCallers = 3;
+  using Clock = std::chrono::steady_clock;
+  std::vector<Clock::time_point> done(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      GraphQuery q = graph_query({"a", "b"});
+      q.deadline = 5s;
+      const Clock::time_point sent = Clock::now();
+      const GraphResponse r = svc.get_graph(std::move(q));
+      EXPECT_EQ(r.meta.status, QueryStatus::kAnswered);
+      done[static_cast<std::size_t>(c)] = sent + r.meta.latency;
+    });
+    // The next caller is launched only once this one is admitted and
+    // queued for the slot.
+    while (svc.admission().in_flight() < static_cast<std::size_t>(c + 1) ||
+           depth.value() < c + 1)
+      std::this_thread::yield();
+  }
+  svc.start();
+  for (std::thread& t : callers) t.join();
+  svc.stop();
+  for (std::size_t c = 1; c < kCallers; ++c)
+    EXPECT_LT(done[c - 1], done[c]) << "caller " << c;
+}
+
+TEST(QueryService, HistorySeriesGetOnePointPerModelStep) {
+  // The service.* series take one point per model-clock step, from the
+  // step's deltas, stamped with the model time its queries saw.
+  obs::Observability obs;
+  QueryService::Options o;
+  o.queue_capacity = 2;
+  QueryService svc(o);
+  svc.set_obs(obs.view());
+  svc.start();
+  svc.publish(tiny_model(1.0), 1.0);
+  svc.note_model_now(4.0);  // steps without queries add no point
+
+  // 100 queries at model time 4: 80 answered, then 20 shed while both
+  // admission slots are held.
+  for (int i = 0; i < 80; ++i)
+    ASSERT_EQ(svc.get_graph(graph_query({"a", "b"})).meta.status,
+              QueryStatus::kAnswered);
+  TenantAdmission& adm = svc.admission();
+  ASSERT_TRUE(adm.try_acquire(TenantAdmission::kDefaultTenant));
+  ASSERT_TRUE(adm.try_acquire(TenantAdmission::kDefaultTenant));
+  for (int i = 0; i < 20; ++i)
+    ASSERT_EQ(svc.get_graph(graph_query({"a", "b"})).meta.status,
+              QueryStatus::kOverloaded);
+  adm.release(TenantAdmission::kDefaultTenant);
+  adm.release(TenantAdmission::kDefaultTenant);
+  svc.note_model_now(5.0);
+  svc.note_model_now(6.0);  // nothing ran at model time 5
+  svc.stop();
+
+  const obs::Histogram latency = obs.metrics.histogram(
+      "remos_service_latency_seconds", obs::default_time_buckets());
+  ASSERT_EQ(latency.count(), 80u);
+  const auto only_point = [&obs](const char* name) {
+    const obs::TimeSeries* ts = obs.series.find(name);
+    EXPECT_NE(ts, nullptr) << name;
+    if (!ts) return obs::SeriesPoint{-1.0, 0.0};
+    EXPECT_EQ(ts->total_samples(), 1u) << name;
+    return ts->latest();
+  };
+  const obs::SeriesPoint lat = only_point("service.latency_ms");
+  EXPECT_DOUBLE_EQ(lat.at, 4.0);
+  EXPECT_DOUBLE_EQ(lat.value, latency.sum() / 80.0 * 1e3);
+  const obs::SeriesPoint shed = only_point("service.shed");
+  EXPECT_DOUBLE_EQ(shed.at, 4.0);
+  EXPECT_DOUBLE_EQ(shed.value, static_cast<double>(adm.shed()) /
+                                   static_cast<double>(adm.admitted() +
+                                                       adm.shed()));
+  EXPECT_DOUBLE_EQ(shed.value, 20.0 / 102.0);
+  const obs::SeriesPoint stale = only_point("service.staleness");
+  EXPECT_DOUBLE_EQ(stale.at, 4.0);
+  EXPECT_DOUBLE_EQ(stale.value, 3.0);
 }
 
 TEST(QueryService, CountersMatchObservedStatusesAndQueueDrains) {
@@ -441,7 +578,7 @@ TEST(QueryService, ShedCounterAndEpisodeEventsUnderOverload) {
   obs::Observability obs;
   QueryService::Options o;
   o.queue_capacity = 1;
-  QueryService svc(o);  // never started: the admitted query sits queued
+  QueryService svc(o);  // never started: the admitted query waits
   svc.set_obs(obs.view());
   svc.publish(tiny_model(0.0), 0.0);
 
